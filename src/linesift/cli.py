@@ -21,6 +21,7 @@ from .corpus import CorpusError, SplitSpec
 from .encoding import EncodingError, Vocab, build_vocab, encode
 from .finetune import (
     DetectionHeads,
+    FinetuneResult,
     FinetuneSchedule,
     finetune_run,
     predict,
@@ -212,6 +213,7 @@ def cmd_finetune(args) -> int:
 
     start_epoch = 0
     optimizer = None
+    resumed = None
     if args.resume:
         last_dir = os.path.join(args.out, "last")
         model, vocab, arrays, meta = _load_model(last_dir)
@@ -223,6 +225,10 @@ def cmd_finetune(args) -> int:
                if k.startswith("opt.m.")},
             v={k[len("opt.v."):]: arrays[k].copy() for k in arrays
                if k.startswith("opt.v.")},
+        )
+        resumed = FinetuneResult(
+            best_f1=float(meta.get("best_f1", float("-inf"))),
+            best_epoch=int(meta.get("best_epoch", -1)),
         )
     elif args.checkpoint:
         model, vocab, _, _ = _load_model(args.checkpoint)
@@ -259,7 +265,7 @@ def cmd_finetune(args) -> int:
     result = finetune_run(
         train_enc, eval_enc, model, heads, schedule,
         out_dir=args.out, vocab=vocab,
-        start_epoch=start_epoch, optimizer=optimizer,
+        start_epoch=start_epoch, optimizer=optimizer, result=resumed,
     )
 
     # score the best checkpoint on the evaluation split

@@ -20,6 +20,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import OptimizerState, Tensor, adamw_step
 from .encoding import EncodedSample
+from .metrics import ConfusionCounts, classification_metrics
 from .model import HierarchicalModel, save_bundle
 from .pretrain import DivergenceError
 
@@ -139,6 +140,7 @@ class PredictionReport:
         }
 
 
+@T.no_grad()
 def predict(
     encoded: EncodedSample,
     model: HierarchicalModel,
@@ -148,7 +150,7 @@ def predict(
     """Coarse verdict; statement ranking only when the verdict is positive.
 
     Ranking is by descending statement probability with ties broken by the
-    smaller original line number.
+    smaller original line number. Runs under ``no_grad``: no graph is built.
     """
     program, statements = model.encode_program(encoded)
     p_vul = float(heads.coarse_probabilities(program).data[0, 1])
@@ -201,20 +203,11 @@ class FinetuneResult:
 
 
 def _coarse_f1(encodeds, model, heads) -> float:
-    tp = fp = fn = 0
-    for enc in encodeds:
-        pred = predict(enc, model, heads).coarse_label
-        if pred == 1 and enc.label == 1:
-            tp += 1
-        elif pred == 1:
-            fp += 1
-        elif enc.label == 1:
-            fn += 1
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
+    counts = ConfusionCounts.from_predictions(
+        [enc.label for enc in encodeds],
+        [predict(enc, model, heads).coarse_label for enc in encodeds],
+    )
+    return classification_metrics(counts)["f1"]
 
 
 def finetune_run(
@@ -227,12 +220,14 @@ def finetune_run(
     vocab=None,
     start_epoch: int = 0,
     optimizer: OptimizerState | None = None,
+    result: FinetuneResult | None = None,
 ) -> FinetuneResult:
     """Epoch loop with evaluation-split F1 tracking and best-checkpoint keep.
 
     Batch order is a pure function of (seed, epoch), and the "last"
-    checkpoint stores the optimizer moments, so a resumed run reproduces an
-    uninterrupted one step for step.
+    checkpoint stores the optimizer moments and the best F1 and epoch so
+    far, so a resumed run (passing them back as ``optimizer`` and
+    ``result``) reproduces an uninterrupted one step for step.
     """
     if not train:
         raise ValueError("training split is empty")
@@ -243,7 +238,8 @@ def finetune_run(
         learning_rate=schedule.learning_rate,
         weight_decay=schedule.weight_decay,
     )
-    result = FinetuneResult()
+    if result is None:
+        result = FinetuneResult()
 
     def arrays(include_opt: bool) -> dict:
         out = model.state_arrays()

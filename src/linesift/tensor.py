@@ -14,6 +14,8 @@ what the joint coarse+fine loss needs.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,7 @@ __all__ = [
     "Tensor",
     "ShapeMismatch",
     "VocabularyError",
+    "no_grad",
     "constant",
     "parameter",
     "add",
@@ -37,6 +40,7 @@ __all__ = [
     "gather_rows",
     "embedding_lookup",
     "softmax_rows",
+    "multi_head_attention",
     "layer_norm",
     "gelu",
     "sigmoid",
@@ -193,9 +197,31 @@ def _accumulate(grads: dict[int, np.ndarray], node: Tensor, piece: np.ndarray) -
         grads[key] = np.array(piece, dtype=np.float64)
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: op results keep no parents or closure.
+
+    For inference. Nests, restores the previous mode on exit (also when the
+    body raises), and is per thread.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -399,6 +425,86 @@ def softmax_rows(x: Tensor, mask=None) -> Tensor:
         _accumulate(grads, x, s * (g - inner))
 
     return _result(s, (x,), back)
+
+
+def multi_head_attention(H: Tensor, wq: list[Tensor], wk: list[Tensor],
+                         wv: list[Tensor], valid=None, sink=None) -> Tensor:
+    """Scaled-dot self-attention over all heads as one op, heads concatenated.
+
+    Head h computes softmax(Q_h K_h^T / sqrt(d_k)) V_h with Q_h = H wq[h],
+    K_h = H wk[h], V_h = H wv[h]; the [n x heads*d_k] output holds the heads
+    side by side (the output projection is left to the caller). ``valid`` is
+    an optional 1-D {0,1} key mask: masked keys get exactly zero weight in
+    every row. When ``sink`` is a list, one list of the per-head [n x n]
+    attention matrices is appended to it.
+
+    The backward pass is analytic; the attention weights are the only
+    [n x n] array it keeps.
+    """
+    heads = len(wq)
+    if heads == 0 or len(wk) != heads or len(wv) != heads:
+        raise ShapeMismatch(
+            f"multi_head_attention: {len(wq)}/{len(wk)}/{len(wv)} "
+            f"query/key/value weights"
+        )
+    if H.ndim != 2:
+        raise ShapeMismatch(f"multi_head_attention: expects 2-D input, got {H.shape}")
+    weights = (*wq, *wk, *wv)
+    n, d = H.shape
+    dk = wq[0].shape[1]
+    for w in weights:
+        if w.shape != (d, dk):
+            raise ShapeMismatch(
+                f"multi_head_attention: weight shape {w.shape}, expected {(d, dk)}"
+            )
+    width = heads * dk
+    W = np.concatenate([w.data for w in weights], axis=1)
+    qkv = H.data @ W
+    # [heads x n x dk] views of the query, key and value column blocks
+    q, k, v = (qkv[:, i * width:(i + 1) * width].reshape(n, heads, dk)
+               .transpose(1, 0, 2) for i in range(3))
+    scale_dk = 1.0 / math.sqrt(dk)
+    att = np.matmul(q, k.transpose(0, 2, 1))
+    att *= scale_dk
+    if valid is not None:
+        keep = np.asarray(valid, dtype=bool)
+        if keep.shape != (n,):
+            raise ShapeMismatch(
+                f"multi_head_attention: key mask shape {keep.shape}, expected ({n},)"
+            )
+        if not keep.any():
+            raise ValueError("multi_head_attention: every key is masked")
+        att[:, :, ~keep] = -np.inf
+    att -= att.max(axis=2, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=2, keepdims=True)
+    if sink is not None:
+        sink.append([a.copy() for a in att])
+    ctx = np.matmul(att, v)
+    out = ctx.transpose(1, 0, 2).reshape(n, width)
+
+    def back(g, grads):
+        g_ctx = g.reshape(n, heads, dk).transpose(1, 0, 2)
+        g_qkv = np.empty_like(qkv)
+        g_q, g_k, g_v = (g_qkv[:, i * width:(i + 1) * width].reshape(n, heads, dk)
+                         .transpose(1, 0, 2) for i in range(3))
+        g_v[...] = np.matmul(att.transpose(0, 2, 1), g_ctx)
+        # softmax backward: att * (g_att - rowsum(g_att * att)), where the
+        # row sum equals rowsum(g_ctx * ctx) and costs [n x dk], not [n x n]
+        g_att = np.matmul(g_ctx, v.transpose(0, 2, 1))
+        g_att -= (g_ctx * ctx).sum(axis=2, keepdims=True)
+        g_att *= att
+        # the 1/sqrt(dk) score scale, applied to the small operands
+        g_q[...] = np.matmul(g_att, k * scale_dk)
+        g_k[...] = np.matmul(g_att.transpose(0, 2, 1), q * scale_dk)
+        if H.requires_grad:
+            _accumulate(grads, H, g_qkv @ W.T)
+        if any(w.requires_grad for w in weights):
+            g_W = H.data.T @ g_qkv
+            for i, w in enumerate(weights):
+                _accumulate(grads, w, g_W[:, i * dk:(i + 1) * dk])
+
+    return _result(out, (H, *weights), back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:

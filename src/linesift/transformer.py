@@ -14,7 +14,6 @@ encoder prepends a learnable program-summary row to the statement vectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -115,26 +114,11 @@ class EncoderStack:
         rng: np.random.Generator | None = None,
         attention_sink: list | None = None,
     ) -> Tensor:
-        n = H.shape[0]
-        inv_sqrt_dk = 1.0 / math.sqrt(self.cfg.head_dim)
-        col_mask = None
-        if valid is not None:
-            col_mask = np.tile(valid.astype(np.float64), (n, 1))
         drop = self.cfg.dropout if training else 0.0
         for layer in self.layers:
-            heads = []
-            layer_maps = []
-            for wq, wk, wv in zip(layer.wq, layer.wk, layer.wv):
-                q = H @ wq
-                k = H @ wk
-                v = H @ wv
-                att = T.softmax_rows((q @ k.transpose()) * inv_sqrt_dk, col_mask)
-                if attention_sink is not None:
-                    layer_maps.append(att.data.copy())
-                heads.append(att @ v)
-            if attention_sink is not None:
-                attention_sink.append(layer_maps)
-            mixed = T.concat_cols(heads) @ layer.wo
+            mixed = T.multi_head_attention(
+                H, layer.wq, layer.wk, layer.wv, valid, attention_sink
+            ) @ layer.wo
             if drop > 0.0:
                 mixed = T.dropout(mixed, drop, rng)
             G = T.layer_norm(H + mixed, layer.ln1_gain, layer.ln1_bias)

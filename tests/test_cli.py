@@ -141,26 +141,41 @@ class TestFinetuneCommand:
         assert set(metrics) >= {"accuracy", "precision", "recall", "f1"}
 
     def test_resume_matches_uninterrupted(self, tmp_path, corpus_path):
-        args = ["--corpus", corpus_path, "--batch", "6", "--lr", "1e-3",
-                "--seed", "7", "--split", "0.7,0.15,0.15",
+        # with this seed the best evaluation F1 comes in the first epoch, so
+        # a resume that forgot it would pick a later one
+        args = ["--corpus", corpus_path, "--batch", "6", "--lr", "3e-3",
+                "--seed", "1", "--split", "0.7,0.15,0.15",
                 "--vocab-size", "512"]
         full = tmp_path / "full"
         assert main(["finetune", *args, "--out", str(full),
-                     "--epochs", "2"]) == 0
+                     "--epochs", "4"]) == 0
+        assert json.loads((full / "metrics.json").read_text())["best_epoch"] < 2
         parted = tmp_path / "parted"
         assert main(["finetune", *args, "--out", str(parted),
-                     "--epochs", "1"]) == 0
+                     "--epochs", "2"]) == 0
         assert main(["finetune", *args, "--out", str(parted),
-                     "--epochs", "2", "--resume"]) == 0
+                     "--epochs", "4", "--resume"]) == 0
 
         def read_epoch(path, epoch):
             with open(path, newline="") as fh:
                 return [r["loss"] for r in csv.DictReader(fh)
                         if r["epoch"] == str(epoch)]
 
-        full_losses = read_epoch(full / "loss.csv", 1)
-        resumed_losses = read_epoch(parted / "loss.csv", 1)
-        assert full_losses == resumed_losses
+        for epoch in (2, 3):
+            full_losses = read_epoch(full / "loss.csv", epoch)
+            resumed_losses = read_epoch(parted / "loss.csv", epoch)
+            assert full_losses and full_losses == resumed_losses
+
+        # the best epoch survives the resume: same best/ bundle, same report
+        _, full_arrays, _, full_meta = load_bundle(str(full / "best"))
+        _, parted_arrays, _, parted_meta = load_bundle(str(parted / "best"))
+        assert parted_meta == full_meta
+        assert parted_arrays.keys() == full_arrays.keys()
+        for name, arr in full_arrays.items():
+            assert np.array_equal(parted_arrays[name], arr), name
+        full_metrics = json.loads((full / "metrics.json").read_text())
+        parted_metrics = json.loads((parted / "metrics.json").read_text())
+        assert parted_metrics["best_epoch"] == full_metrics["best_epoch"]
 
     def test_rerun_is_behavior_identical(self, tmp_path, corpus_path):
         outs = []

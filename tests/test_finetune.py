@@ -177,6 +177,34 @@ class TestPredict:
         assert [s["line"] for s in report.statements] == [l for l, _ in oracle]
         assert report.statements[0]["p_vul"] == max(probs)
 
+    def test_builds_no_graph(self, rng, model, heads, monkeypatch):
+        heads.dnet_b2.data[:] = [0.0, 10.0]  # the statement ranking runs too
+        enc = make_encoded(rng, 60, vocab_size=VOCAB)
+        graph_nodes = []
+        make_result = T._result
+
+        def recording_result(data, parents, backward):
+            out = make_result(data, parents, backward)
+            graph_nodes.append(out._backward is not None)
+            return out
+
+        monkeypatch.setattr(T, "_result", recording_result)
+        report = predict(enc, model, heads)
+        assert report.statements and graph_nodes and not any(graph_nodes)
+        params = {**model.parameters(), **dict(heads.parameters())}
+        assert all(p.grad is None for p in params.values())
+
+    def test_report_matches_graph_path(self, rng, model, heads):
+        heads.dnet_b2.data[:] = [0.0, 10.0]
+        enc = make_encoded(rng, 400, vocab_size=VOCAB)
+        report = predict(enc, model, heads)
+        program, statements = model.encode_program(enc)
+        assert program._backward is not None and statements._backward is not None
+        assert report.p_vul == float(heads.coarse_probabilities(program).data[0, 1])
+        probs = heads.fine_probabilities(statements).data[:, 1]
+        assert {s["line"]: s["p_vul"] for s in report.statements} \
+            == {line: float(p) for line, p in zip(enc.orig_lines, probs)}
+
     def test_tie_break_by_line_number(self, rng, model):
         h = zeroed_heads()
         h.dnet_b2.data[:] = [0.0, 10.0]

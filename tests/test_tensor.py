@@ -1,6 +1,7 @@
 """Tensor op contracts, gradient oracles, AdamW, checkpoint round-trips."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -305,6 +306,38 @@ class TestDeterminism:
         l2, g2 = run()
         assert l1 == l2
         assert np.array_equal(g1, g2)
+
+
+class TestNoGrad:
+    def test_builds_no_graph(self):
+        x = T.parameter([[1.0, 2.0]])
+        with T.no_grad():
+            y = T.tanh(x @ T.transpose(x))
+        assert not y.requires_grad
+        assert y._backward is None and y._parents == ()
+        assert T.tanh(x @ T.transpose(x))._backward is not None
+
+    def test_mode_restored_after_raise_and_when_nested(self):
+        x = T.parameter([1.0])
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("body failed")
+        assert T.scale(x, 2.0).requires_grad
+        with T.no_grad():
+            with T.no_grad():
+                assert not T.scale(x, 2.0).requires_grad
+            assert not T.scale(x, 2.0).requires_grad
+        assert T.scale(x, 2.0).requires_grad
+
+    def test_mode_is_per_thread(self):
+        x = T.parameter([1.0])
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(T.scale(x, 2.0).requires_grad))
+        with T.no_grad():
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == [True]
 
 
 class TestAdamW:

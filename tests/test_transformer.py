@@ -51,6 +51,86 @@ def straight_line_stack(H, stack_layers, head_dim):
     return H
 
 
+def per_head_attention(H, wq, wk, wv, valid=None):
+    """The per-head attention chain built from primitive graph ops."""
+    n = H.shape[0]
+    inv_sqrt_dk = 1.0 / math.sqrt(wq[0].shape[1])
+    mask = None
+    if valid is not None:
+        mask = np.tile(np.asarray(valid, dtype=np.float64), (n, 1))
+    heads = []
+    for q_w, k_w, v_w in zip(wq, wk, wv):
+        q, k, v = T.matmul(H, q_w), T.matmul(H, k_w), T.matmul(H, v_w)
+        att = T.softmax_rows(T.scale(T.matmul(q, T.transpose(k)), inv_sqrt_dk), mask)
+        heads.append(T.matmul(att, v))
+    return T.concat_cols(heads)
+
+
+def attention_params(rng, heads, hidden, std=0.5):
+    dk = hidden // heads
+    return [[T.parameter(rng.normal(0.0, std, (hidden, dk))) for _ in range(heads)]
+            for _ in range(3)]
+
+
+class TestMultiHeadAttention:
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_per_head_chain(self, rng, heads, masked):
+        n, d = 7, 8
+        H = T.parameter(rng.normal(size=(n, d)))
+        wq, wk, wv = attention_params(rng, heads, d)
+        params = [H, *wq, *wk, *wv]
+        valid = np.array([1, 1, 0, 1, 0, 1, 1], dtype=bool) if masked else None
+        upstream = T.constant(rng.normal(size=(n, d)))
+        results = []
+        for attention in (per_head_attention, T.multi_head_attention):
+            for p in params:
+                p.zero_grad()
+            out = attention(H, wq, wk, wv, valid)
+            T.mul(out, upstream).sum().backward()
+            results.append((out.data, [p.grad for p in params]))
+        (ref, ref_grads), (fused, fused_grads) = results
+        assert np.max(np.abs(fused - ref)) < 1e-12
+        for got, want in zip(fused_grads, ref_grads):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_finite_differences_on_toy(self, rng, masked):
+        H = T.parameter(rng.normal(size=(6, TOY.hidden)))
+        wq, wk, wv = attention_params(rng, TOY.heads, TOY.hidden)
+        valid = np.array([1, 0, 1, 1, 0, 1], dtype=bool) if masked else None
+        params = {"H": H}
+        for kind, ws in (("wq", wq), ("wk", wk), ("wv", wv)):
+            params.update({f"head{h}.{kind}": w for h, w in enumerate(ws)})
+
+        def loss():
+            return T.tanh(T.multi_head_attention(H, wq, wk, wv, valid)).sum()
+
+        for p in params.values():
+            p.zero_grad()
+        loss().backward()
+        failures = finite_difference_failures(lambda: loss().item(), params, rng,
+                                              elements_per_tensor=4)
+        assert failures == []
+
+    def test_sink_receives_each_heads_map(self, rng):
+        H = T.constant(rng.normal(size=(5, TOY.hidden)))
+        wq, wk, wv = attention_params(rng, TOY.heads, TOY.hidden)
+        sink = []
+        T.multi_head_attention(H, wq, wk, wv, np.array([1, 1, 1, 0, 1]), sink)
+        assert len(sink) == 1 and len(sink[0]) == TOY.heads
+        for att in sink[0]:
+            assert att.shape == (5, 5)
+            assert np.array_equal(att[:, 3], np.zeros(5))
+            assert np.max(np.abs(att.sum(axis=1) - 1.0)) < 1e-12
+
+    def test_fully_masked_keys_rejected(self, rng):
+        H = T.constant(rng.normal(size=(3, TOY.hidden)))
+        wq, wk, wv = attention_params(rng, TOY.heads, TOY.hidden)
+        with pytest.raises(ValueError, match="every key is masked"):
+            T.multi_head_attention(H, wq, wk, wv, np.zeros(3, dtype=bool))
+
+
 @pytest.fixture
 def token_encoder(rng):
     return TokenEncoder(TOY, rng)
