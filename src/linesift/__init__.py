@@ -9,7 +9,7 @@ checkable against finite differences.
 
 from .tensor import Tensor, OptimizerState, adamw_step
 from .corpus import FunctionSample, SplitSpec, load_corpus, save_corpus, split
-from .encoding import Vocab, EncodedSample, build_vocab, encode, segment
+from .encoding import Vocab, EncodedSample, build_vocab, encode
 from .transformer import EncoderConfig, TokenEncoder, StatementEncoder
 from .model import HierarchicalModel, ModelConfig
 from .pretrain import MspDecoder, MlmHead, make_mask_plan, apply_mask_plan
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor", "OptimizerState", "adamw_step",
     "FunctionSample", "SplitSpec", "load_corpus", "save_corpus", "split",
-    "Vocab", "EncodedSample", "build_vocab", "encode", "segment",
+    "Vocab", "EncodedSample", "build_vocab", "encode",
     "EncoderConfig", "TokenEncoder", "StatementEncoder",
     "HierarchicalModel", "ModelConfig",
     "MspDecoder", "MlmHead", "make_mask_plan", "apply_mask_plan",

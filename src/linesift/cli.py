@@ -230,15 +230,11 @@ def cmd_finetune(args) -> int:
             best_f1=float(meta.get("best_f1", float("-inf"))),
             best_epoch=int(meta.get("best_epoch", -1)),
         )
-    elif args.checkpoint:
-        model, vocab, _, _ = _load_model(args.checkpoint)
-        heads = DetectionHeads(
-            model.config.encoder.hidden, model.config.encoder.ffn_hidden,
-            np.random.default_rng(np.random.SeedSequence([args.seed, 0x4EAD])),
-            threshold=args.threshold,
-        )
     else:
-        model, vocab = _build_fresh(args, train_s)
+        if args.checkpoint:
+            model, vocab, _, _ = _load_model(args.checkpoint)
+        else:
+            model, vocab = _build_fresh(args, train_s)
         heads = DetectionHeads(
             model.config.encoder.hidden, model.config.encoder.ffn_hidden,
             np.random.default_rng(np.random.SeedSequence([args.seed, 0x4EAD])),
@@ -337,8 +333,9 @@ def cmd_evaluate(args) -> int:
     with open(os.path.join(args.out, "metrics.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    metrics_mod.write_topk_csv(
-        metrics_mod.sweep_topk(records), os.path.join(args.out, "topk.csv")
+    metrics_mod.write_csv(
+        os.path.join(args.out, "topk.csv"), ["k_percent", "topk_accuracy"],
+        metrics_mod.sweep_topk(records),
     )
     print(json.dumps({k: summary[k] for k in
                       ("accuracy", "precision", "recall", "f1")}))

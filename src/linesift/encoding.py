@@ -26,7 +26,6 @@ __all__ = [
     "tokenize_line",
     "build_vocab",
     "encode",
-    "segment",
     "correspondence_apply",
     "SEGMENT_TOKENS",
     "MAX_STATEMENTS",
@@ -141,11 +140,15 @@ class EncodedSample:
     orig_lines: list[int]
     label: int
     vul_flags: np.ndarray
-    segment_boundaries: list[tuple[int, int]]
 
     @property
     def n(self) -> int:
         return int(self.token_ids.shape[0])
+
+    @property
+    def segment_boundaries(self) -> list[tuple[int, int]]:
+        """ceil(n/512) consecutive token-index ranges tiling the stream."""
+        return _boundaries(self.n)
 
     @property
     def L(self) -> int:
@@ -166,11 +169,9 @@ class EncodedSample:
             raise EncodingError(f"{self.L} statements exceed cap {MAX_STATEMENTS}")
         if len(self.orig_lines) != self.L or self.vul_flags.shape != (self.L,):
             raise EncodingError("per-line metadata out of sync with spans")
-        if self.segment_boundaries != _boundaries(n):
-            raise EncodingError("segment boundaries do not tile the stream")
 
     def with_token_ids(self, token_ids: np.ndarray) -> "EncodedSample":
-        """Copy with substituted ids; spans, labels and boundaries keep."""
+        """Copy with substituted ids; spans and labels keep."""
         if token_ids.shape != self.token_ids.shape:
             raise EncodingError("replacement ids must preserve length")
         return EncodedSample(
@@ -180,7 +181,6 @@ class EncodedSample:
             orig_lines=list(self.orig_lines),
             label=self.label,
             vul_flags=self.vul_flags.copy(),
-            segment_boundaries=list(self.segment_boundaries),
         )
 
     def to_debug_json(self) -> str:
@@ -243,17 +243,9 @@ def encode(sample: FunctionSample, vocab: Vocab, m_len: int = 512) -> EncodedSam
         orig_lines=orig_lines,
         label=sample.label,
         vul_flags=flags,
-        segment_boundaries=_boundaries(len(ids)),
     )
     encoded.validate()
     return encoded
-
-
-def segment(encoded: EncodedSample) -> list[tuple[int, int]]:
-    """ceil(n/512) consecutive token-index ranges tiling the stream."""
-    if encoded.n < 1:
-        raise EncodingError("cannot segment an empty stream")
-    return _boundaries(encoded.n)
 
 
 def correspondence_apply(line_spans: list[tuple[int, int]], T: Tensor) -> Tensor:

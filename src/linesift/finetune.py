@@ -9,7 +9,6 @@ are computed and ranked only when the coarse head fires.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -20,9 +19,10 @@ import numpy as np
 from . import tensor as T
 from .tensor import OptimizerState, Tensor, adamw_step
 from .encoding import EncodedSample
-from .metrics import ConfusionCounts, classification_metrics
+from .metrics import ConfusionCounts, classification_metrics, write_csv
 from .model import HierarchicalModel, save_bundle
 from .pretrain import DivergenceError
+from .transformer import Mlp
 
 __all__ = [
     "DetectionHeads",
@@ -40,30 +40,19 @@ class DetectionHeads:
 
     def __init__(self, hidden: int, ffn_hidden: int, rng: np.random.Generator,
                  threshold: float = 0.5):
-        def w(shape):
-            return T.parameter(rng.normal(0.0, 0.02, shape))
-        self.dnet_w1 = w((hidden, ffn_hidden))
-        self.dnet_b1 = T.parameter(np.zeros(ffn_hidden))
-        self.dnet_w2 = w((ffn_hidden, 2))
-        self.dnet_b2 = T.parameter(np.zeros(2))
-        self.stmt_w1 = w((hidden, ffn_hidden))
-        self.stmt_b1 = T.parameter(np.zeros(ffn_hidden))
-        self.stmt_w2 = w((ffn_hidden, 2))
-        self.stmt_b2 = T.parameter(np.zeros(2))
+        self.dnet = Mlp(hidden, ffn_hidden, 2, rng)
+        self.stmt = Mlp(hidden, ffn_hidden, 2, rng)
         self.threshold = threshold
 
     def parameters(self, prefix: str = "heads"):
-        for name in ("dnet_w1", "dnet_b1", "dnet_w2", "dnet_b2",
-                     "stmt_w1", "stmt_b1", "stmt_w2", "stmt_b2"):
-            yield f"{prefix}.{name}", getattr(self, name)
+        yield from self.dnet.parameters(f"{prefix}.dnet_")
+        yield from self.stmt.parameters(f"{prefix}.stmt_")
 
     def coarse_logits_raw(self, program_vector: Tensor) -> Tensor:
-        hidden = T.gelu(program_vector @ self.dnet_w1 + self.dnet_b1)
-        return hidden @ self.dnet_w2 + self.dnet_b2
+        return self.dnet(program_vector)
 
     def fine_logits_raw(self, statement_vectors: Tensor) -> Tensor:
-        hidden = T.gelu(statement_vectors @ self.stmt_w1 + self.stmt_b1)
-        return hidden @ self.stmt_w2 + self.stmt_b2
+        return self.stmt(statement_vectors)
 
     def coarse_probabilities(self, program_vector: Tensor) -> Tensor:
         """(p_nonvul, p_vul) for one program vector, softmaxed."""
@@ -309,14 +298,10 @@ def finetune_run(
                   "threshold": heads.threshold},
         )
     if out_dir is not None:
-        with open(os.path.join(out_dir, "loss.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "step", "loss"])
-            writer.writerows(result.loss_history)
-        with open(os.path.join(out_dir, "eval.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "f1"])
-            writer.writerows(result.eval_history)
+        write_csv(os.path.join(out_dir, "loss.csv"), ["epoch", "step", "loss"],
+                  result.loss_history)
+        write_csv(os.path.join(out_dir, "eval.csv"), ["epoch", "f1"],
+                  result.eval_history)
     return result
 
 

@@ -20,7 +20,7 @@ __all__ = [
     "classification_metrics",
     "topk_accuracy",
     "sweep_topk",
-    "write_topk_csv",
+    "write_csv",
     "export_heatmap",
     "write_heatmap_csv",
 ]
@@ -131,10 +131,11 @@ def sweep_topk(records: list[LocalizationRecord],
     return [(float(k), topk_accuracy(records, k)) for k in k_values]
 
 
-def write_topk_csv(rows: list[tuple[float, float]], path: str) -> None:
+def write_csv(path: str, header: list[str], rows) -> None:
+    """One header row, then ``rows``, as CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k_percent", "topk_accuracy"])
+        writer.writerow(header)
         writer.writerows(rows)
 
 

@@ -37,7 +37,6 @@ class ModelConfig:
     m_len: int = 512
     t2s: str = "average"
     attn_pool_dim: int | None = None
-    program_pool: str = "summary"
 
     def __post_init__(self):
         if self.m_len <= 0 or self.m_len % SEGMENT_TOKENS != 0:
@@ -52,17 +51,21 @@ class ModelConfig:
             "m_len": self.m_len,
             "t2s": self.t2s,
             "attn_pool_dim": self.attn_pool_dim,
-            "program_pool": self.program_pool,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        # bundles written before the program pool was fixed carry the key
+        pool = d.get("program_pool", "summary")
+        if pool != "summary":
+            raise ValueError(
+                f"program_pool {pool!r} is not supported; only 'summary' is"
+            )
         return cls(
             encoder=EncoderConfig(**d["encoder"]),
             m_len=d["m_len"],
             t2s=d["t2s"],
             attn_pool_dim=d.get("attn_pool_dim"),
-            program_pool=d.get("program_pool", "summary"),
         )
 
 
@@ -80,9 +83,7 @@ class HierarchicalModel:
             config.t2s, config.encoder.hidden, config.m_len, pool_rng,
             config.attn_pool_dim,
         )
-        self.statement_encoder = StatementEncoder(
-            config.encoder, se_rng, config.program_pool
-        )
+        self.statement_encoder = StatementEncoder(config.encoder, se_rng)
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -123,9 +124,7 @@ class HierarchicalModel:
         """Per-segment token encoding merged back into one [n x d] matrix."""
         self._check_caps(encoded)
         pieces = [
-            self.token_encoder.forward(
-                encoded.token_ids[s:e], None, training, rng
-            )
+            self.token_encoder.forward(encoded.token_ids[s:e], training, rng)
             for s, e in encoded.segment_boundaries
         ]
         if len(pieces) == 1:
@@ -149,27 +148,8 @@ class HierarchicalModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> list[tuple[Tensor, Tensor]]:
-        """Batch path: all segments pass the token encoder as one work list,
-        then merge reassembles them to their owning samples."""
-        for enc in encodeds:
-            self._check_caps(enc)
-        work = [
-            (i, enc.token_ids[s:e])
-            for i, enc in enumerate(encodeds)
-            for s, e in enc.segment_boundaries
-        ]
-        token_vectors: dict[int, list[Tensor]] = {i: [] for i in range(len(encodeds))}
-        for owner, ids in work:
-            token_vectors[owner].append(
-                self.token_encoder.forward(ids, None, training, rng)
-            )
-        out = []
-        for i, enc in enumerate(encodeds):
-            pieces = token_vectors[i]
-            merged = pieces[0] if len(pieces) == 1 else T.concat_rows(pieces)
-            initial = self.pool.apply(merged, enc.line_spans)
-            out.append(self.statement_encoder.forward(initial, training, rng))
-        return out
+        """``encode_program`` over each sample in order."""
+        return [self.encode_program(e, training, rng) for e in encodeds]
 
     def _check_caps(self, encoded: EncodedSample) -> None:
         if encoded.n > self.config.m_len:

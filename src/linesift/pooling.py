@@ -26,6 +26,16 @@ __all__ = ["AveragePool", "WeightedPool", "AttentionPool", "make_pool", "POOL_KI
 POOL_KINDS = ("average", "weighted", "attention")
 
 
+def _span_softmax_combine(tokens: Tensor, spans: list[tuple[int, int]],
+                          scores: Tensor) -> Tensor:
+    """Softmax ``scores`` within each span; combine each span's tokens by them."""
+    pieces = []
+    for o, p in spans:
+        raw = scores.rows(o, p).reshape((1, p - o))
+        pieces.append(T.softmax_rows(raw).reshape((p - o,)))
+    return T.span_combine(tokens, spans, T.concat_rows(pieces))
+
+
 class AveragePool:
     kind = "average"
 
@@ -59,11 +69,7 @@ class WeightedPool:
                 f"weight table covers {self.position_weight.shape[0]} positions, "
                 f"stream has {n}"
             )
-        pieces = []
-        for o, p in spans:
-            raw = self.position_weight.rows(o, p).reshape((1, p - o))
-            pieces.append(T.softmax_rows(raw).reshape((p - o,)))
-        return T.span_combine(tokens, spans, T.concat_rows(pieces))
+        return _span_softmax_combine(tokens, spans, self.position_weight)
 
 
 class AttentionPool:
@@ -84,11 +90,7 @@ class AttentionPool:
         q = tokens.rows(0, 1) @ self.q_proj                   # [1 x d_a]
         keys = tokens @ self.k_proj                           # [n x d_a]
         scores = (keys @ q.transpose()) * (1.0 / math.sqrt(self.attn_dim))
-        pieces = []
-        for o, p in spans:
-            raw = scores.rows(o, p).reshape((1, p - o))
-            pieces.append(T.softmax_rows(raw).reshape((p - o,)))
-        return T.span_combine(tokens, spans, T.concat_rows(pieces))
+        return _span_softmax_combine(tokens, spans, scores)
 
 
 def make_pool(

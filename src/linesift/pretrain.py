@@ -14,7 +14,6 @@ encoder can be warmed up on its own before joint training.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 
@@ -23,7 +22,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import OptimizerState, Tensor, adamw_step
 from .encoding import BOS, EOS, MASK, RESERVED_TOKENS, EncodedSample
+from .metrics import write_csv
 from .model import HierarchicalModel, save_bundle
+from .transformer import Mlp
 
 __all__ = [
     "MaskedLine",
@@ -110,8 +111,7 @@ class MspDecoder:
     """Single-layer gated (LSTM-style) decoder over the token vocabulary.
 
     The masked statement's encoder vector becomes the initial hidden state;
-    input embeddings are shared with the token encoder's table. Optionally
-    the statement vector is re-added to the input at every step.
+    input embeddings are shared with the token encoder's table.
     """
 
     def __init__(
@@ -120,12 +120,10 @@ class MspDecoder:
         vocab_size: int,
         rng: np.random.Generator,
         max_decode_len: int = 64,
-        feed_vector_each_step: bool = False,
     ):
         self.hidden = hidden
         self.vocab_size = vocab_size
         self.max_decode_len = max_decode_len
-        self.feed_vector_each_step = feed_vector_each_step
         def w(shape):
             return T.parameter(rng.normal(0.0, 0.02, shape))
         self.gates = {}
@@ -175,8 +173,6 @@ class MspDecoder:
         logit_rows = []
         for inp in inputs:
             x = T.embedding_lookup(token_table, [inp])
-            if self.feed_vector_each_step:
-                x = x + statement_vector
             h, c = self._step(x, h, c)
             logit_rows.append(h @ self.proj_w + self.proj_b)
         logits = T.concat_rows(logit_rows)
@@ -217,19 +213,13 @@ class MlmHead:
 
     def __init__(self, hidden: int, ffn_hidden: int, vocab_size: int,
                  rng: np.random.Generator):
-        self.w1 = T.parameter(rng.normal(0.0, 0.02, (hidden, ffn_hidden)))
-        self.b1 = T.parameter(np.zeros(ffn_hidden))
-        self.w2 = T.parameter(rng.normal(0.0, 0.02, (ffn_hidden, vocab_size)))
-        self.b2 = T.parameter(np.zeros(vocab_size))
+        self.mlp = Mlp(hidden, ffn_hidden, vocab_size, rng)
 
     def parameters(self, prefix: str = "mlm"):
-        yield f"{prefix}.w1", self.w1
-        yield f"{prefix}.b1", self.b1
-        yield f"{prefix}.w2", self.w2
-        yield f"{prefix}.b2", self.b2
+        return self.mlp.parameters(f"{prefix}.")
 
     def logits(self, token_vectors: Tensor) -> Tensor:
-        return T.gelu(token_vectors @ self.w1 + self.b1) @ self.w2 + self.b2
+        return self.mlp(token_vectors)
 
 
 def mlm_loss(
@@ -291,13 +281,6 @@ class TrainState:
     loss_history: list = field(default_factory=list)  # (step, phase, loss)
     optimizer: OptimizerState | None = None
     skipped_samples: int = 0  # MLM draws with no maskable token
-
-
-def _write_loss_csv(path: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "phase", "loss"])
-        writer.writerows(rows)
 
 
 def pretrain_run(
@@ -401,5 +384,6 @@ def pretrain_run(
                 save(phase)
     save("final")
     if out_dir is not None:
-        _write_loss_csv(os.path.join(out_dir, "loss.csv"), state.loss_history)
+        write_csv(os.path.join(out_dir, "loss.csv"), ["step", "phase", "loss"],
+                  state.loss_history)
     return state

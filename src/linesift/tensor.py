@@ -138,10 +138,11 @@ class Tensor:
     # -- reverse-mode traversal ----------------------------------------------
 
     def backward(self) -> None:
-        """Populate ``.grad`` on every reachable requires_grad tensor.
+        """Populate ``.grad`` on every reachable requires_grad leaf.
 
         The loss must be scalar. Gradients computed by this call are added
-        into any gradients already stored on the leaves.
+        into any gradients already stored on the leaves; interior nodes get
+        no ``.grad``.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -155,10 +156,11 @@ class Tensor:
                 continue
             node._backward(g, grads)
         for node in order:
-            if node.requires_grad and id(node) in grads:
+            if node.requires_grad and node._backward is None and id(node) in grads:
+                # the map owns each array (see _accumulate), so no copy
                 piece = grads[id(node)]
                 if node.grad is None:
-                    node.grad = piece.copy()
+                    node.grad = piece
                 else:
                     node.grad += piece
 
@@ -391,36 +393,16 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # -- nonlinearities -----------------------------------------------------------
 
 
-def softmax_rows(x: Tensor, mask=None) -> Tensor:
-    """Row-wise softmax, numerically stabilized by row-max subtraction.
-
-    ``mask`` is a constant {0,1} array (or Tensor) of the same shape;
-    masked entries receive exactly zero weight and no gradient flows
-    through the mask. A fully masked row is an error (0/0).
-    """
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax, numerically stabilized by row-max subtraction."""
     if x.ndim != 2:
         raise ShapeMismatch(f"softmax_rows: expects 2-D input, got {x.shape}")
-    if mask is not None:
-        if isinstance(mask, Tensor):
-            mask = mask.data
-        m = np.asarray(mask, dtype=np.float64)
-        if m.shape != x.shape:
-            raise ShapeMismatch(
-                f"softmax_rows: mask shape {m.shape} != input shape {x.shape}"
-            )
-        if (m.sum(axis=1) == 0).any():
-            row = int(np.where(m.sum(axis=1) == 0)[0][0])
-            raise ValueError(f"softmax_rows: row {row} is fully masked")
-        shifted = np.where(m > 0, x.data, -np.inf)
-        shifted = shifted - shifted.max(axis=1, keepdims=True)
-        e = np.exp(shifted) * m
-    else:
-        shifted = x.data - x.data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
+    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
 
     def back(g, grads):
-        # d softmax: s * (g - sum(g * s)); zero stays zero on masked cells.
+        # d softmax: s * (g - sum(g * s))
         inner = (g * s).sum(axis=1, keepdims=True)
         _accumulate(grads, x, s * (g - inner))
 
@@ -428,15 +410,14 @@ def softmax_rows(x: Tensor, mask=None) -> Tensor:
 
 
 def multi_head_attention(H: Tensor, wq: list[Tensor], wk: list[Tensor],
-                         wv: list[Tensor], valid=None, sink=None) -> Tensor:
+                         wv: list[Tensor], sink=None) -> Tensor:
     """Scaled-dot self-attention over all heads as one op, heads concatenated.
 
     Head h computes softmax(Q_h K_h^T / sqrt(d_k)) V_h with Q_h = H wq[h],
     K_h = H wk[h], V_h = H wv[h]; the [n x heads*d_k] output holds the heads
-    side by side (the output projection is left to the caller). ``valid`` is
-    an optional 1-D {0,1} key mask: masked keys get exactly zero weight in
-    every row. When ``sink`` is a list, one list of the per-head [n x n]
-    attention matrices is appended to it.
+    side by side (the output projection is left to the caller). When
+    ``sink`` is a list, one list of the per-head [n x n] attention matrices
+    is appended to it.
 
     The backward pass is analytic; the attention weights are the only
     [n x n] array it keeps.
@@ -466,15 +447,6 @@ def multi_head_attention(H: Tensor, wq: list[Tensor], wk: list[Tensor],
     scale_dk = 1.0 / math.sqrt(dk)
     att = np.matmul(q, k.transpose(0, 2, 1))
     att *= scale_dk
-    if valid is not None:
-        keep = np.asarray(valid, dtype=bool)
-        if keep.shape != (n,):
-            raise ShapeMismatch(
-                f"multi_head_attention: key mask shape {keep.shape}, expected ({n},)"
-            )
-        if not keep.any():
-            raise ValueError("multi_head_attention: every key is masked")
-        att[:, :, ~keep] = -np.inf
     att -= att.max(axis=2, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=2, keepdims=True)

@@ -7,9 +7,10 @@ One layer computes, in post-norm residual order:
 
 with per-head projections Q = H Wq, K = H Wk, V = H Wv, scaled-dot
 attention softmax(Q K^T / sqrt(d_k)) V, head concatenation through Wo, and
-a two-layer GELU feed-forward. The token encoder adds token + learned
-absolute position embeddings and zeroes padded positions; the statement
-encoder prepends a learnable program-summary row to the statement vectors.
+a two-layer GELU feed-forward (``Mlp``, which also serves as the detection
+and MLM heads). The token encoder adds token + learned absolute position
+embeddings to one unpadded segment; the statement encoder prepends a
+learnable program-summary row to the statement vectors.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-__all__ = ["EncoderConfig", "EncoderStack", "TokenEncoder", "StatementEncoder",
-           "preset_config", "PRESETS"]
+__all__ = ["EncoderConfig", "EncoderStack", "Mlp", "TokenEncoder",
+           "StatementEncoder", "preset_config", "PRESETS"]
 
 
 @dataclass
@@ -69,17 +70,32 @@ def _normal(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
     return T.parameter(rng.normal(0.0, std, size=shape))
 
 
+class Mlp:
+    """Two-layer GELU feed-forward: gelu(x @ w1 + b1) @ w2 + b2."""
+
+    def __init__(self, d_in: int, d_hidden: int, d_out: int,
+                 rng: np.random.Generator):
+        self.w1 = _normal(rng, (d_in, d_hidden))
+        self.b1 = T.parameter(np.zeros(d_hidden))
+        self.w2 = _normal(rng, (d_hidden, d_out))
+        self.b2 = T.parameter(np.zeros(d_out))
+
+    def parameters(self, prefix: str):
+        for name in ("w1", "b1", "w2", "b2"):
+            yield prefix + name, getattr(self, name)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.gelu(x @ self.w1 + self.b1) @ self.w2 + self.b2
+
+
 class _Layer:
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        d, dk, u, df = cfg.hidden, cfg.head_dim, cfg.heads, cfg.ffn_hidden
+        d, dk, u = cfg.hidden, cfg.head_dim, cfg.heads
         self.wq = [_normal(rng, (d, dk)) for _ in range(u)]
         self.wk = [_normal(rng, (d, dk)) for _ in range(u)]
         self.wv = [_normal(rng, (d, dk)) for _ in range(u)]
         self.wo = _normal(rng, (u * dk, d))
-        self.w1 = _normal(rng, (d, df))
-        self.b1 = T.parameter(np.zeros(df))
-        self.w2 = _normal(rng, (df, d))
-        self.b2 = T.parameter(np.zeros(d))
+        self.ffn = Mlp(d, cfg.ffn_hidden, d, rng)
         self.ln1_gain = T.parameter(np.ones(d))
         self.ln1_bias = T.parameter(np.zeros(d))
         self.ln2_gain = T.parameter(np.ones(d))
@@ -90,8 +106,9 @@ class _Layer:
             yield f"{prefix}.head{h}.wq", q
             yield f"{prefix}.head{h}.wk", k
             yield f"{prefix}.head{h}.wv", v
-        for name in ("wo", "w1", "b1", "w2", "b2",
-                     "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
+        yield f"{prefix}.wo", self.wo
+        yield from self.ffn.parameters(f"{prefix}.")
+        for name in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
             yield f"{prefix}.{name}", getattr(self, name)
 
 
@@ -109,7 +126,6 @@ class EncoderStack:
     def forward(
         self,
         H: Tensor,
-        valid: np.ndarray | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
         attention_sink: list | None = None,
@@ -117,12 +133,12 @@ class EncoderStack:
         drop = self.cfg.dropout if training else 0.0
         for layer in self.layers:
             mixed = T.multi_head_attention(
-                H, layer.wq, layer.wk, layer.wv, valid, attention_sink
+                H, layer.wq, layer.wk, layer.wv, attention_sink
             ) @ layer.wo
             if drop > 0.0:
                 mixed = T.dropout(mixed, drop, rng)
             G = T.layer_norm(H + mixed, layer.ln1_gain, layer.ln1_bias)
-            ff = T.gelu(G @ layer.w1 + layer.b1) @ layer.w2 + layer.b2
+            ff = layer.ffn(G)
             if drop > 0.0:
                 ff = T.dropout(ff, drop, rng)
             H = T.layer_norm(G + ff, layer.ln2_gain, layer.ln2_bias)
@@ -148,7 +164,6 @@ class TokenEncoder:
     def forward(
         self,
         token_ids,
-        padding_mask: np.ndarray | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
         attention_sink: list | None = None,
@@ -159,36 +174,21 @@ class TokenEncoder:
             raise ValueError(
                 f"segment of {n} tokens exceeds capacity {self.cfg.max_positions}"
             )
-        valid = None
-        if padding_mask is not None:
-            valid = np.asarray(padding_mask, dtype=bool)
-            if valid.shape != (n,):
-                raise ValueError("padding mask length must match the segment")
-            if not valid.any():
-                raise ValueError("segment is entirely padding")
         H = T.embedding_lookup(self.tok_emb, ids) + self.pos_emb.rows(0, n)
-        H = self.stack.forward(H, valid, training, rng, attention_sink)
-        if valid is not None and not valid.all():
-            keep = np.tile(valid.astype(np.float64)[:, None], (1, self.cfg.hidden))
-            H = T.mul(H, T.constant(keep))
-        return H
+        return self.stack.forward(H, training, rng, attention_sink)
 
-    def attention_maps(self, token_ids, padding_mask=None) -> list[list[np.ndarray]]:
+    def attention_maps(self, token_ids) -> list[list[np.ndarray]]:
         """Post-softmax attention matrices, indexed [layer][head]."""
         sink: list = []
-        self.forward(token_ids, padding_mask, attention_sink=sink)
+        self.forward(token_ids, attention_sink=sink)
         return sink
 
 
 class StatementEncoder:
     """Statement-level stack producing the program vector and statement vectors."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator,
-                 program_pool: str = "summary"):
-        if program_pool not in ("summary", "mean"):
-            raise ValueError(f"unknown program_pool {program_pool!r}")
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.program_pool = program_pool
         self.pos_emb = _normal(rng, (cfg.max_positions, cfg.hidden))
         self.summary = _normal(rng, (1, cfg.hidden))
         self.stack = EncoderStack(cfg, rng)
@@ -213,11 +213,5 @@ class StatementEncoder:
             self.summary,
             statement_inputs + self.pos_emb.rows(0, L),
         ])
-        H = self.stack.forward(X, None, training, rng)
-        statements = H.rows(1, L + 1)
-        if self.program_pool == "mean":
-            pool = T.constant(np.full((1, L), 1.0 / L))
-            program = pool @ statements
-        else:
-            program = H.rows(0, 1)
-        return program, statements
+        H = self.stack.forward(X, training, rng)
+        return H.rows(0, 1), H.rows(1, L + 1)

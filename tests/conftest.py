@@ -63,8 +63,6 @@ def make_encoded(
     flags = (rng.random(len(spans)) < 0.2).astype(np.int64)
     if label == 0:
         flags[:] = 0
-    from linesift.encoding import _boundaries
-
     enc = EncodedSample(
         id=sample_id,
         token_ids=np.asarray(ids, dtype=np.int64),
@@ -72,7 +70,6 @@ def make_encoded(
         orig_lines=orig_lines,
         label=label,
         vul_flags=flags,
-        segment_boundaries=_boundaries(n_tokens),
     )
     enc.validate()
     return enc

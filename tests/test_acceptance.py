@@ -13,7 +13,7 @@ import pytest
 from conftest import make_encoded
 from linesift import tensor as T
 from linesift.corpus import bundled_corpus_path, load_corpus, synthesize_corpus
-from linesift.encoding import build_vocab, encode, segment
+from linesift.encoding import build_vocab, encode
 from linesift.finetune import (
     DetectionHeads,
     FinetuneSchedule,
@@ -143,9 +143,8 @@ def test_criterion_2_long_sequence_equivalence():
     for i in range(100):
         n = int(rng.integers(513, 2049))
         enc = make_encoded(rng, n, sample_id=f"long{i}")
-        boundaries = segment(enc)
+        boundaries = enc.segment_boundaries
         assert len(boundaries) == math.ceil(n / 512)
-        assert boundaries == enc.segment_boundaries
         merged = model.encode_tokens(enc)
         stitched = np.vstack([
             model.token_encoder.forward(enc.token_ids[s:e]).data
@@ -223,7 +222,7 @@ def test_criterion_4_masking_statistics():
     rng = np.random.default_rng(41)
     ids = rng.integers(6, 60, size=301)
     ids[0] = 2  # [CLS]
-    from linesift.encoding import EncodedSample, _boundaries
+    from linesift.encoding import EncodedSample
 
     enc = EncodedSample(
         id="mc",
@@ -232,7 +231,6 @@ def test_criterion_4_masking_statistics():
         orig_lines=list(range(1, 101)),
         label=0,
         vul_flags=np.zeros(100, dtype=np.int64),
-        segment_boundaries=_boundaries(301),
     )
     enc.validate()
     selected = 0

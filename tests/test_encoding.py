@@ -19,7 +19,6 @@ from linesift.encoding import (
     build_vocab,
     correspondence_apply,
     encode,
-    segment,
     tokenize_line,
 )
 
@@ -196,16 +195,16 @@ class TestSegment:
     ])
     def test_boundaries(self, rng, n, expected):
         enc = make_encoded(rng, n)
-        assert segment(enc) == expected
-        assert len(segment(enc)) == -(-n // 512)  # ceil
+        assert enc.segment_boundaries == expected
+        assert len(enc.segment_boundaries) == -(-n // 512)  # ceil
 
     def test_concatenation_identity(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 2500))
             enc = make_encoded(rng, n)
-            pieces = [enc.token_ids[s:e] for s, e in segment(enc)]
+            pieces = [enc.token_ids[s:e] for s, e in enc.segment_boundaries]
             assert np.array_equal(np.concatenate(pieces), enc.token_ids)
-            widths = [e - s for s, e in segment(enc)[:-1]]
+            widths = [e - s for s, e in enc.segment_boundaries[:-1]]
             assert all(w == 512 for w in widths)
 
 

@@ -61,8 +61,8 @@ class TestHeads:
 
     def test_logit_margin_saturates(self, rng):
         h = zeroed_heads()
-        h.dnet_b2.data[:] = [0.0, 10.0]
-        h.stmt_b2.data[:] = [0.0, 10.0]
+        h.dnet.b2.data[:] = [0.0, 10.0]
+        h.stmt.b2.data[:] = [0.0, 10.0]
         pv = T.constant(rng.normal(size=(1, 16)))
         assert h.coarse_probabilities(pv).data[0, 1] > 0.9999
         sv = T.constant(rng.normal(size=(3, 16)))
@@ -145,7 +145,7 @@ class TestFinetuneLoss:
 class TestPredict:
     def test_coarse_negative_suppresses_ranking(self, rng, model):
         h = zeroed_heads()
-        h.dnet_b2.data[:] = [10.0, 0.0]  # always predicts non-vulnerable
+        h.dnet.b2.data[:] = [10.0, 0.0]  # always predicts non-vulnerable
         enc = make_encoded(rng, 30, vocab_size=VOCAB, label=1)
         report = predict(enc, model, h)
         assert report.coarse_label == 0
@@ -154,7 +154,7 @@ class TestPredict:
 
     def test_topk_prefix_arithmetic(self, rng, model):
         h = zeroed_heads()
-        h.dnet_b2.data[:] = [0.0, 10.0]  # always positive
+        h.dnet.b2.data[:] = [0.0, 10.0]  # always positive
         enc = make_encoded(rng, 41, vocab_size=VOCAB)
         enc.line_spans = [(1 + 4 * i, 5 + 4 * i) for i in range(10)]
         enc.orig_lines = list(range(1, 11))
@@ -166,7 +166,7 @@ class TestPredict:
         assert len(report25.top_lines) == 3
 
     def test_ranking_matches_sort_oracle(self, rng, model, heads):
-        heads.dnet_b2.data[:] = [0.0, 10.0]
+        heads.dnet.b2.data[:] = [0.0, 10.0]
         enc = make_encoded(rng, 60, vocab_size=VOCAB)
         report = predict(enc, model, heads)
         _, statements = model.encode_program(enc)
@@ -178,7 +178,7 @@ class TestPredict:
         assert report.statements[0]["p_vul"] == max(probs)
 
     def test_builds_no_graph(self, rng, model, heads, monkeypatch):
-        heads.dnet_b2.data[:] = [0.0, 10.0]  # the statement ranking runs too
+        heads.dnet.b2.data[:] = [0.0, 10.0]  # the statement ranking runs too
         enc = make_encoded(rng, 60, vocab_size=VOCAB)
         graph_nodes = []
         make_result = T._result
@@ -195,7 +195,7 @@ class TestPredict:
         assert all(p.grad is None for p in params.values())
 
     def test_report_matches_graph_path(self, rng, model, heads):
-        heads.dnet_b2.data[:] = [0.0, 10.0]
+        heads.dnet.b2.data[:] = [0.0, 10.0]
         enc = make_encoded(rng, 400, vocab_size=VOCAB)
         report = predict(enc, model, heads)
         program, statements = model.encode_program(enc)
@@ -207,7 +207,7 @@ class TestPredict:
 
     def test_tie_break_by_line_number(self, rng, model):
         h = zeroed_heads()
-        h.dnet_b2.data[:] = [0.0, 10.0]
+        h.dnet.b2.data[:] = [0.0, 10.0]
         enc = make_encoded(rng, 30, vocab_size=VOCAB)
         report = predict(enc, model, h)  # all statement probs exactly 0.5
         assert [s["line"] for s in report.statements] == sorted(enc.orig_lines)

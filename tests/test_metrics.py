@@ -15,7 +15,7 @@ from linesift.metrics import (
     sweep_topk,
     topk_accuracy,
     write_heatmap_csv,
-    write_topk_csv,
+    write_csv,
 )
 
 
@@ -131,7 +131,7 @@ class TestSweep:
         records = [random_record(rng, i) for i in range(20)]
         curve = sweep_topk(records)
         path = tmp_path / "topk.csv"
-        write_topk_csv(curve, str(path))
+        write_csv(str(path), ["k_percent", "topk_accuracy"], curve)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(float(r["k_percent"]), float(r["topk_accuracy"])) for r in rows] \

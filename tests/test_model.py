@@ -1,12 +1,17 @@
 """Long-sequence pipeline: segment/merge equivalence, batching, bundles."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import make_encoded
 from linesift import tensor as T
 from linesift.encoding import _boundaries
-from linesift.model import HierarchicalModel, ModelConfig, load_bundle, save_bundle
+from linesift.finetune import DetectionHeads, predict
+from linesift.model import (
+    CONFIG_NAME, HierarchicalModel, ModelConfig, load_bundle, save_bundle,
+)
 from linesift.transformer import EncoderConfig
 
 SMALL = ModelConfig(
@@ -144,6 +149,29 @@ class TestParametersAndBundles:
             assert np.array_equal(p.data, reloaded.parameters()[name].data)
         after = reloaded.encode_program(enc)[0].data
         assert np.array_equal(before, after)
+
+    def _bundle_with_program_pool(self, directory, model, pool):
+        save_bundle(str(directory), model.config, model.state_arrays())
+        path = directory / CONFIG_NAME
+        payload = json.loads(path.read_text())
+        payload["model"]["program_pool"] = pool
+        path.write_text(json.dumps(payload))
+
+    def test_bundle_with_summary_program_pool_loads_and_predicts(
+            self, tmp_path, model, rng):
+        self._bundle_with_program_pool(tmp_path, model, "summary")
+        config, arrays, _, _ = load_bundle(str(tmp_path))
+        reloaded = HierarchicalModel(config, seed=5)
+        reloaded.load_state(arrays)
+        heads = DetectionHeads(16, 32, np.random.default_rng(3), threshold=0.0)
+        enc = make_encoded(rng, 600)
+        assert (predict(enc, reloaded, heads).to_dict()
+                == predict(enc, model, heads).to_dict())
+
+    def test_bundle_with_mean_program_pool_rejected(self, tmp_path, model):
+        self._bundle_with_program_pool(tmp_path, model, "mean")
+        with pytest.raises(ValueError, match="program_pool"):
+            load_bundle(str(tmp_path))
 
     def test_load_state_rejects_missing_or_misshapen(self, model):
         arrays = model.state_arrays()

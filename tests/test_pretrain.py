@@ -213,8 +213,8 @@ class TestMspLoss:
 class TestMlmLoss:
     def test_uniform_baseline(self, rng, model):
         head = MlmHead(TINY.encoder.hidden, 32, VOCAB, rng)
-        head.w2.data[:] = 0.0
-        head.b2.data[:] = 0.0
+        head.mlp.w2.data[:] = 0.0
+        head.mlp.b2.data[:] = 0.0
         enc = make_encoded(rng, 50, vocab_size=VOCAB)
         loss, info = mlm_loss(enc, model, head, seed=2)
         assert not info["skipped"]
@@ -230,7 +230,6 @@ class TestMlmLoss:
             orig_lines=[],
             label=0,
             vul_flags=np.zeros(0, dtype=np.int64),
-            segment_boundaries=[(0, 1)],
         )
         loss, info = mlm_loss(lonely, model, head, seed=0)
         assert loss is None and info["skipped"]

@@ -61,21 +61,10 @@ class TestSoftmaxRows:
         out = T.softmax_rows(T.constant([[math.log(1.0), math.log(3.0)]]))
         assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-15)
 
-    def test_masked_symmetry(self):
-        out = T.softmax_rows(
-            T.constant([[5.0, 5.0, 5.0]]), mask=np.array([[1, 1, 0]])
-        )
-        assert out.data[0, 0] == 0.5 and out.data[0, 1] == 0.5
-        assert out.data[0, 2] == 0.0  # exactly
-
     def test_rows_sum_to_one(self, rng):
         x = T.constant(rng.normal(size=(10, 7)) * 10)
         out = T.softmax_rows(x)
         assert np.max(np.abs(out.data.sum(axis=1) - 1.0)) < 1e-9
-
-    def test_fully_masked_row_errors(self):
-        with pytest.raises(ValueError, match="fully masked"):
-            T.softmax_rows(T.constant([[1.0, 2.0]]), mask=np.array([[0, 0]]))
 
 
 class TestLayerNorm:
@@ -205,6 +194,22 @@ class TestBackward:
         assert x.grad.tolist() == [2.0]
         x.zero_grad()
         assert x.grad is None
+
+    def test_grad_stored_on_leaves_only(self, rng):
+        x = T.parameter(rng.normal(size=(3, 2)))
+        w = T.parameter(rng.normal(size=(2, 2)))
+        hidden = T.matmul(x, w)
+        loss = T.tanh(hidden).sum()
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        d_hidden = 1.0 - np.tanh(x.data @ w.data) ** 2
+        assert np.allclose(x.grad, d_hidden @ w.data.T, atol=1e-12)
+        assert np.allclose(w.grad, x.data.T @ d_hidden, atol=1e-12)
+        first_x, first_w = x.grad.copy(), w.grad.copy()
+        loss.backward()
+        assert hidden.grad is None
+        assert np.array_equal(x.grad, 2 * first_x)
+        assert np.array_equal(w.grad, 2 * first_w)
 
     def test_every_reachable_param_gets_matching_grad(self, rng):
         a = T.parameter(rng.normal(size=(4, 3)))

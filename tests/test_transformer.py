@@ -1,4 +1,4 @@
-"""Encoder stack contracts: shapes, masking, oracles, gradients."""
+"""Encoder stack contracts: shapes, oracles, gradients."""
 
 import math
 
@@ -8,7 +8,6 @@ from scipy.special import erf
 
 from conftest import finite_difference_failures
 from linesift import tensor as T
-from linesift.encoding import PAD
 from linesift.transformer import (
     EncoderConfig,
     StatementEncoder,
@@ -46,22 +45,19 @@ def straight_line_stack(H, stack_layers, head_dim):
             head_outputs.append(weights @ v)
         mixed = np.concatenate(head_outputs, axis=1) @ layer.wo.data
         G = ln(H + mixed, layer.ln1_gain.data, layer.ln1_bias.data)
-        ff = gelu_np(G @ layer.w1.data + layer.b1.data) @ layer.w2.data + layer.b2.data
+        ff = (gelu_np(G @ layer.ffn.w1.data + layer.ffn.b1.data) @ layer.ffn.w2.data
+              + layer.ffn.b2.data)
         H = ln(G + ff, layer.ln2_gain.data, layer.ln2_bias.data)
     return H
 
 
-def per_head_attention(H, wq, wk, wv, valid=None):
+def per_head_attention(H, wq, wk, wv):
     """The per-head attention chain built from primitive graph ops."""
-    n = H.shape[0]
     inv_sqrt_dk = 1.0 / math.sqrt(wq[0].shape[1])
-    mask = None
-    if valid is not None:
-        mask = np.tile(np.asarray(valid, dtype=np.float64), (n, 1))
     heads = []
     for q_w, k_w, v_w in zip(wq, wk, wv):
         q, k, v = T.matmul(H, q_w), T.matmul(H, k_w), T.matmul(H, v_w)
-        att = T.softmax_rows(T.scale(T.matmul(q, T.transpose(k)), inv_sqrt_dk), mask)
+        att = T.softmax_rows(T.scale(T.matmul(q, T.transpose(k)), inv_sqrt_dk))
         heads.append(T.matmul(att, v))
     return T.concat_cols(heads)
 
@@ -74,19 +70,17 @@ def attention_params(rng, heads, hidden, std=0.5):
 
 class TestMultiHeadAttention:
     @pytest.mark.parametrize("heads", [1, 4])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_matches_per_head_chain(self, rng, heads, masked):
+    def test_matches_per_head_chain(self, rng, heads):
         n, d = 7, 8
         H = T.parameter(rng.normal(size=(n, d)))
         wq, wk, wv = attention_params(rng, heads, d)
         params = [H, *wq, *wk, *wv]
-        valid = np.array([1, 1, 0, 1, 0, 1, 1], dtype=bool) if masked else None
         upstream = T.constant(rng.normal(size=(n, d)))
         results = []
         for attention in (per_head_attention, T.multi_head_attention):
             for p in params:
                 p.zero_grad()
-            out = attention(H, wq, wk, wv, valid)
+            out = attention(H, wq, wk, wv)
             T.mul(out, upstream).sum().backward()
             results.append((out.data, [p.grad for p in params]))
         (ref, ref_grads), (fused, fused_grads) = results
@@ -94,17 +88,15 @@ class TestMultiHeadAttention:
         for got, want in zip(fused_grads, ref_grads):
             assert np.max(np.abs(got - want)) < 1e-12
 
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_finite_differences_on_toy(self, rng, masked):
+    def test_finite_differences_on_toy(self, rng):
         H = T.parameter(rng.normal(size=(6, TOY.hidden)))
         wq, wk, wv = attention_params(rng, TOY.heads, TOY.hidden)
-        valid = np.array([1, 0, 1, 1, 0, 1], dtype=bool) if masked else None
         params = {"H": H}
         for kind, ws in (("wq", wq), ("wk", wk), ("wv", wv)):
             params.update({f"head{h}.{kind}": w for h, w in enumerate(ws)})
 
         def loss():
-            return T.tanh(T.multi_head_attention(H, wq, wk, wv, valid)).sum()
+            return T.tanh(T.multi_head_attention(H, wq, wk, wv)).sum()
 
         for p in params.values():
             p.zero_grad()
@@ -117,18 +109,11 @@ class TestMultiHeadAttention:
         H = T.constant(rng.normal(size=(5, TOY.hidden)))
         wq, wk, wv = attention_params(rng, TOY.heads, TOY.hidden)
         sink = []
-        T.multi_head_attention(H, wq, wk, wv, np.array([1, 1, 1, 0, 1]), sink)
+        T.multi_head_attention(H, wq, wk, wv, sink)
         assert len(sink) == 1 and len(sink[0]) == TOY.heads
         for att in sink[0]:
             assert att.shape == (5, 5)
-            assert np.array_equal(att[:, 3], np.zeros(5))
             assert np.max(np.abs(att.sum(axis=1) - 1.0)) < 1e-12
-
-    def test_fully_masked_keys_rejected(self, rng):
-        H = T.constant(rng.normal(size=(3, TOY.hidden)))
-        wq, wk, wv = attention_params(rng, TOY.heads, TOY.hidden)
-        with pytest.raises(ValueError, match="every key is masked"):
-            T.multi_head_attention(H, wq, wk, wv, np.zeros(3, dtype=bool))
 
 
 @pytest.fixture
@@ -146,21 +131,6 @@ class TestTokenEncoder:
             assert len(layer_maps) == TOY.heads
             for att in layer_maps:
                 assert att.tolist() == [[1.0]]
-
-    def test_pad_positions_output_zero(self, token_encoder):
-        ids = [7, PAD, PAD, PAD]
-        mask = np.array([1, 0, 0, 0])
-        out = token_encoder.forward(ids, padding_mask=mask)
-        assert np.array_equal(out.data[1:], np.zeros((3, TOY.hidden)))
-        assert np.any(out.data[0] != 0)
-
-    def test_pad_extension_invariance(self, token_encoder):
-        ids = [7, 9, 3]
-        base = token_encoder.forward(ids, padding_mask=np.array([1, 1, 1]))
-        padded = token_encoder.forward(
-            ids + [PAD] * 5, padding_mask=np.array([1, 1, 1, 0, 0, 0, 0, 0])
-        )
-        assert np.max(np.abs(padded.data[:3] - base.data)) < 1e-12
 
     def test_against_straight_line_oracle(self, rng, token_encoder):
         ids = rng.integers(0, TOY.vocab_size, size=9)
@@ -258,12 +228,6 @@ class TestStatementEncoder:
         expected = straight_line_stack(X0, se.stack.layers, TOY.head_dim)
         assert np.max(np.abs(program.data - expected[:1])) < 1e-10
         assert np.max(np.abs(statements.data - expected[1:])) < 1e-10
-
-    def test_mean_program_pool(self, rng):
-        se = StatementEncoder(TOY, rng, program_pool="mean")
-        S0 = rng.normal(size=(4, 8))
-        program, statements = se.forward(T.constant(S0))
-        assert np.max(np.abs(program.data - statements.data.mean(axis=0))) < 1e-12
 
     def test_program_vector_sensitive_to_every_statement(self, rng):
         se = StatementEncoder(TOY, rng)
