@@ -27,7 +27,7 @@ from .finetune import (
     predict,
     write_reports_jsonl,
 )
-from .model import HierarchicalModel, ModelConfig, load_bundle, save_bundle
+from .model import BundleConfigError, HierarchicalModel, ModelConfig, load_bundle
 from .pretrain import (
     DivergenceError,
     MlmHead,
@@ -84,7 +84,10 @@ def _build_fresh(args, samples):
 def _load_model(checkpoint_dir: str):
     if not os.path.isdir(checkpoint_dir):
         raise UsageError(f"checkpoint directory not found: {checkpoint_dir}")
-    config, arrays, vocab, meta = load_bundle(checkpoint_dir)
+    try:
+        config, arrays, vocab, meta = load_bundle(checkpoint_dir)
+    except BundleConfigError as exc:
+        raise UsageError(str(exc)) from exc
     if vocab is None:
         raise UsageError(f"checkpoint {checkpoint_dir} has no vocabulary file")
     model = HierarchicalModel(config, seed=0)
@@ -168,6 +171,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    if args.max_decode_len < 1:
+        raise UsageError(
+            f"--max-decode-len must be at least 1, got {args.max_decode_len}")
     _echo_config(args)
     samples = _load_corpus(args.corpus)
     if args.init_from:

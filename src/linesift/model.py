@@ -25,7 +25,8 @@ from .encoding import EncodedSample, MAX_STATEMENTS, SEGMENT_TOKENS, Vocab
 from .pooling import POOL_KINDS, make_pool
 from .transformer import EncoderConfig, StatementEncoder, TokenEncoder
 
-__all__ = ["ModelConfig", "HierarchicalModel", "save_bundle", "load_bundle"]
+__all__ = ["ModelConfig", "HierarchicalModel", "BundleConfigError", "save_bundle",
+           "load_bundle"]
 
 CONFIG_NAME = "config.json"
 VOCAB_NAME = "vocab.txt"
@@ -185,12 +186,23 @@ def save_bundle(
     checkpoint.save_tensors(directory, arrays)
 
 
+class BundleConfigError(ValueError):
+    """A bundle's config file does not parse or does not describe a model."""
+
+
 def load_bundle(directory: str):
     """Load (config, arrays, vocab_or_None, meta) from a bundle directory."""
-    with open(os.path.join(directory, CONFIG_NAME)) as fh:
-        payload = json.load(fh)
-    config = ModelConfig.from_dict(payload["model"])
+    config_path = os.path.join(directory, CONFIG_NAME)
+    with open(config_path) as fh:
+        try:
+            payload = json.load(fh)
+            config = ModelConfig.from_dict(payload["model"])
+            meta = payload.get("meta", {})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BundleConfigError(
+                f"malformed {config_path}: {type(exc).__name__}: {exc}"
+            ) from exc
     arrays = checkpoint.load_tensors(directory)
     vocab_path = os.path.join(directory, VOCAB_NAME)
     vocab = Vocab.load(vocab_path) if os.path.exists(vocab_path) else None
-    return config, arrays, vocab, payload.get("meta", {})
+    return config, arrays, vocab, meta

@@ -121,6 +121,8 @@ class MspDecoder:
         rng: np.random.Generator,
         max_decode_len: int = 64,
     ):
+        if max_decode_len < 1:
+            raise ValueError(f"max_decode_len must be at least 1, got {max_decode_len}")
         self.hidden = hidden
         self.vocab_size = vocab_size
         self.max_decode_len = max_decode_len
@@ -156,27 +158,36 @@ class MspDecoder:
         return T.mul(o, T.tanh(c_next)), c_next
 
     def sequence_loss(
-        self, statement_vector: Tensor, target_ids, token_table: Tensor
-    ) -> tuple[Tensor, int, bool]:
-        """Teacher-forced summed cross-entropy over [tokens..., EOS].
+        self, statement_vectors: Tensor, target_lists, token_table: Tensor
+    ) -> tuple[Tensor, int, int]:
+        """Teacher-forced summed cross-entropy over each line's [tokens..., EOS].
 
-        Returns (loss_sum, step_count, truncated_flag).
+        Row r of ``statement_vectors`` [k x h] seeds the decode of
+        ``target_lists[r]``. All k lines step together as rows of one
+        recurrence padded to the longest line; padded steps never reach the
+        loss. Returns (loss_sum, target_tokens, truncated_lines).
         """
-        original = [int(t) for t in target_ids]
-        truncated = len(original) > self.max_decode_len
-        if truncated:
-            original = original[: self.max_decode_len]
-        inputs = [BOS] + original
-        targets = original + [EOS]
-        h = statement_vector
-        c = T.constant(np.zeros((1, self.hidden)))
-        logit_rows = []
-        for inp in inputs:
-            x = T.embedding_lookup(token_table, [inp])
-            h, c = self._step(x, h, c)
-            logit_rows.append(h @ self.proj_w + self.proj_b)
-        logits = T.concat_rows(logit_rows)
-        mean_ce = T.cross_entropy(logits, targets)
+        lines = [[int(t) for t in ids] for ids in target_lists]
+        truncated = sum(len(ids) > self.max_decode_len for ids in lines)
+        lines = [ids[: self.max_decode_len] for ids in lines]
+        k = len(lines)
+        steps = 1 + max(len(ids) for ids in lines)
+        # step-major inputs: BOS, then the line's tokens; padding is any valid id
+        inputs = np.full((steps, k), BOS, dtype=np.int64)
+        for r, ids in enumerate(lines):
+            inputs[1:1 + len(ids), r] = ids
+        embedded = T.embedding_lookup(token_table, inputs.ravel())
+        h = statement_vectors
+        c = T.constant(np.zeros((k, self.hidden)))
+        hidden_steps = []
+        for s in range(steps):
+            h, c = self._step(embedded.rows(s * k, (s + 1) * k), h, c)
+            hidden_steps.append(h)
+        # row s*k + r of the stacked states is line r after step s
+        real = [s * k + r for r, ids in enumerate(lines) for s in range(len(ids) + 1)]
+        targets = [t for ids in lines for t in ids + [EOS]]
+        states = T.gather_rows(T.concat_rows(hidden_steps), real)
+        mean_ce = T.cross_entropy(states @ self.proj_w + self.proj_b, targets)
         return T.scale(mean_ce, float(len(targets))), len(targets), truncated
 
 
@@ -192,17 +203,11 @@ def msp_loss(
     """Reconstruction loss of every selected statement from its vector."""
     masked = apply_mask_plan(encoded, plan)
     _, statements = model.encode_program(masked, training, rng)
-    total: Tensor | None = None
-    tokens = 0
-    truncated_lines = 0
-    for line in plan.lines:
-        vec = statements.rows(line.line_index, line.line_index + 1)
-        loss, steps, truncated = decoder.sequence_loss(
-            vec, line.original_ids, model.token_encoder.tok_emb
-        )
-        tokens += steps
-        truncated_lines += int(truncated)
-        total = loss if total is None else total + loss
+    vectors = T.gather_rows(statements, [line.line_index for line in plan.lines])
+    total, tokens, truncated_lines = decoder.sequence_loss(
+        vectors, [line.original_ids for line in plan.lines],
+        model.token_encoder.tok_emb,
+    )
     if per_token_mean:
         total = T.scale(total, 1.0 / tokens)
     return total, {"target_tokens": tokens, "truncated_lines": truncated_lines}

@@ -4,14 +4,14 @@ import csv
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from linesift.cli import main
 from linesift.corpus import bundled_corpus_path, load_corpus, synthesize_corpus, save_corpus
-from linesift.model import HierarchicalModel, ModelConfig, load_bundle
-from linesift.transformer import EncoderConfig, preset_config
+from linesift.model import HierarchicalModel, load_bundle
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,15 @@ class TestPretrainCommand:
         changed = [k for k in arrays_a
                    if not np.array_equal(arrays_a[k], arrays_b[k])]
         assert changed  # training moved on from the restored weights
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_max_decode_len_below_one_exits_2(self, tmp_path, corpus_path,
+                                              capsys, bad):
+        code = main(["pretrain", "--corpus", corpus_path,
+                     "--out", str(tmp_path / "o"), "--steps", "1",
+                     "--max-decode-len", bad])
+        assert code == 2
+        assert "--max-decode-len" in capsys.readouterr().err
 
     def test_bundled_corpus_short_run_reduces_loss(self, tmp_path):
         out = tmp_path / "pt"
@@ -201,6 +210,24 @@ class TestEvaluateCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("corrupt", ["drop_m_len", "mean_pool", "bad_json"])
+    def test_malformed_config_exits_2(self, finetuned, corpus_path, tmp_path,
+                                      capsys, corrupt):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(os.path.join(finetuned, "best"), bundle)
+        config_path = bundle / "config.json"
+        payload = json.loads(config_path.read_text())
+        if corrupt == "drop_m_len":
+            del payload["model"]["m_len"]
+        elif corrupt == "mean_pool":
+            payload["model"]["program_pool"] = "mean"
+        text = "{not json" if corrupt == "bad_json" else json.dumps(payload)
+        config_path.write_text(text)
+        code = main(["evaluate", "--corpus", corpus_path,
+                     "--checkpoint", str(bundle), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert str(config_path) in capsys.readouterr().err
+
     def test_checkpoint_without_heads_exits_2(self, corpus_path, tmp_path):
         pt = tmp_path / "pt"
         assert main(["pretrain", "--corpus", corpus_path, "--out", str(pt),
@@ -287,7 +314,7 @@ class TestExplainCommand:
         assert code == 2
 
     def test_heatmap_row_count_and_gating(self, finetuned, corpus_path, tmp_path):
-        from linesift.encoding import Vocab, encode
+        from linesift.encoding import encode
         from linesift.cli import _load_model, _load_heads
         from linesift.finetune import predict
 

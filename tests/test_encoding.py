@@ -12,7 +12,6 @@ from linesift.corpus import FunctionSample, synthesize_corpus
 from linesift.encoding import (
     CLS,
     UNK,
-    EncodedSample,
     EncodingError,
     RESERVED_TOKENS,
     Vocab,

@@ -146,7 +146,7 @@ class TestDecoderLoss:
         vec = T.constant(rng.normal(size=(1, TINY.encoder.hidden)))
         table = T.constant(rng.normal(size=(VOCAB, TINY.encoder.hidden)))
         targets = [7, 8, 9]
-        loss, steps, truncated = decoder.sequence_loss(vec, targets, table)
+        loss, steps, truncated = decoder.sequence_loss(vec, [targets], table)
         assert steps == 4  # three tokens plus EOS
         assert not truncated
         assert abs(loss.item() - 4 * math.log(VOCAB)) < 1e-12
@@ -154,25 +154,106 @@ class TestDecoderLoss:
     def test_additivity_over_identical_statements(self, rng, decoder):
         vec = T.constant(rng.normal(size=(1, TINY.encoder.hidden)))
         table = T.constant(rng.normal(size=(VOCAB, TINY.encoder.hidden)))
-        single, _, _ = decoder.sequence_loss(vec, [6, 7], table)
-        double = single + decoder.sequence_loss(vec, [6, 7], table)[0]
+        single, _, _ = decoder.sequence_loss(vec, [[6, 7]], table)
+        double = single + decoder.sequence_loss(vec, [[6, 7]], table)[0]
         assert abs(double.item() - 2 * single.item()) < 1e-12
 
     def test_truncation_flag(self, rng, decoder):
         vec = T.constant(rng.normal(size=(1, TINY.encoder.hidden)))
         table = T.constant(rng.normal(size=(VOCAB, TINY.encoder.hidden)))
         long_targets = list(range(6, 6 + 30))
-        loss, steps, truncated = decoder.sequence_loss(vec, long_targets, table)
-        assert truncated
+        loss, steps, truncated = decoder.sequence_loss(vec, [long_targets], table)
+        assert truncated == 1
         assert steps == decoder.max_decode_len + 1
 
     def test_bos_eos_conventions(self, rng, decoder):
         # a 1-token statement decodes in 2 steps: BOS->tok, tok->EOS
         vec = T.constant(rng.normal(size=(1, TINY.encoder.hidden)))
         table = T.constant(rng.normal(size=(VOCAB, TINY.encoder.hidden)))
-        _, steps, _ = decoder.sequence_loss(vec, [9], table)
+        _, steps, _ = decoder.sequence_loss(vec, [[9]], table)
         assert steps == 2
         assert BOS != EOS
+
+
+def per_line_loss(decoder, statement_vector, target_ids, token_table):
+    """Reference decoder: one LSTM chain per line, one token per step."""
+    original = [int(t) for t in target_ids][: decoder.max_decode_len]
+    targets = original + [EOS]
+    h = statement_vector
+    c = T.constant(np.zeros((1, decoder.hidden)))
+    logit_rows = []
+    for inp in [BOS] + original:
+        h, c = decoder._step(T.embedding_lookup(token_table, [inp]), h, c)
+        logit_rows.append(h @ decoder.proj_w + decoder.proj_b)
+    mean_ce = T.cross_entropy(T.concat_rows(logit_rows), targets)
+    return T.scale(mean_ce, float(len(targets)))
+
+
+def loss_and_grads(loss_fn, params):
+    for p in params.values():
+        p.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), {k: p.grad.copy() for k, p in params.items()}
+
+
+class TestBatchedDecoder:
+    # a 1-token line, a line past max_decode_len (16), and mixed lengths
+    LINES = [[9], list(range(6, 6 + 30)), [6, 7, 8], [10, 11, 12, 13, 14, 15, 16]]
+
+    def inputs(self, rng, decoder, k):
+        vecs = T.parameter(rng.normal(size=(k, TINY.encoder.hidden)))
+        table = T.parameter(rng.normal(size=(VOCAB, TINY.encoder.hidden)))
+        params = dict(decoder.parameters())
+        params.update({"vecs": vecs, "table": table})
+        return vecs, table, params
+
+    def test_matches_per_line_chain(self, rng, decoder):
+        vecs, table, params = self.inputs(rng, decoder, len(self.LINES))
+        batched, grads = loss_and_grads(
+            lambda: decoder.sequence_loss(vecs, self.LINES, table)[0], params)
+
+        def serial():
+            parts = [per_line_loss(decoder, vecs.rows(r, r + 1), ids, table)
+                     for r, ids in enumerate(self.LINES)]
+            return sum(parts[1:], parts[0])
+
+        expected, oracle = loss_and_grads(serial, params)
+        assert abs(batched - expected) < 1e-12
+        for name, g in oracle.items():
+            assert np.max(np.abs(grads[name] - g)) < 1e-12, name
+
+    def test_longer_line_leaves_other_lines_unchanged(self, rng, decoder):
+        short = [[9], [6, 7, 8]]
+        longer = short + [list(range(6, 6 + 12))]
+        vecs, table, params = self.inputs(rng, decoder, len(longer))
+        alone, grads_alone = loss_and_grads(
+            lambda: decoder.sequence_loss(vecs.rows(0, 2), short, table)[0], params)
+        batched, grads_batched = loss_and_grads(
+            lambda: decoder.sequence_loss(vecs, longer, table)[0], params)
+        extra = decoder.sequence_loss(vecs.rows(2, 3), longer[2:], table)[0].item()
+        assert abs(batched - extra - alone) < 1e-12
+        assert np.max(np.abs(grads_batched["vecs"][:2] - grads_alone["vecs"][:2])) < 1e-12
+
+    def test_msp_loss_counts_truncated_lines(self, rng, model):
+        decoder = MspDecoder(TINY.encoder.hidden, VOCAB, rng, max_decode_len=3)
+        enc = make_encoded(rng, 60, vocab_size=VOCAB, max_line_tokens=6)
+        lines = []
+        for i, (o, p) in enumerate(enc.line_spans):
+            original = tuple(int(t) for t in enc.token_ids[o:p])
+            lines.append(MaskedLine(i, "keep", original, original))
+        plan = MaskPlan(seed=0, lines=tuple(lines))
+        long_lines = sum(len(line.original_ids) > 3 for line in lines)
+        assert 0 < long_lines < len(lines)
+        _, info = msp_loss(enc, plan, model, decoder)
+        assert info["truncated_lines"] == long_lines
+        assert info["target_tokens"] == sum(
+            min(len(line.original_ids), 3) + 1 for line in lines)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_max_decode_len_below_one_rejected(self, rng, bad):
+        with pytest.raises(ValueError, match="max_decode_len"):
+            MspDecoder(TINY.encoder.hidden, VOCAB, rng, max_decode_len=bad)
 
 
 class TestMspLoss:
