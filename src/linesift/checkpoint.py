@@ -9,6 +9,7 @@ including NaN payloads.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -35,23 +36,54 @@ def save_tensors(directory: str, arrays: dict[str, np.ndarray]) -> None:
         mf.write("\n".join(lines) + ("\n" if lines else ""))
 
 
+class CheckpointError(ValueError):
+    """Checkpoint files, or the tensors in them, do not fit what is loaded."""
+
+
 def load_tensors(directory: str) -> dict[str, np.ndarray]:
+    """Read a checkpoint; the manifest must tile the blob exactly, in order."""
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     blob_path = os.path.join(directory, BLOB_NAME)
-    out: dict[str, np.ndarray] = {}
     with open(blob_path, "rb") as blob:
         raw = blob.read()
+    entries = []
+    end = 0
     with open(manifest_path) as mf:
-        for line in mf:
+        for number, line in enumerate(mf, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            name, shape_s, offset_s = line.split("\t")
-            shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
-            count = int(np.prod(shape)) if shape else 1
-            offset = int(offset_s)
-            arr = np.frombuffer(
-                raw, dtype="<f8", count=count, offset=offset
-            ).reshape(shape)
-            out[name] = arr.astype(np.float64, copy=True)
-    return out
+            try:
+                name, shape_s, offset_s = line.split("\t")
+                shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
+                offset = int(offset_s)
+            except ValueError as exc:
+                raise CheckpointError(f"{manifest_path} line {number}: {exc}") from exc
+            if offset != end:
+                raise CheckpointError(
+                    f"{manifest_path}: {name!r} starts at byte {offset}, not {end}")
+            entries.append((name, shape, offset))
+            end += 8 * math.prod(shape)
+    if len(raw) != end:
+        raise CheckpointError(
+            f"{blob_path} holds {len(raw)} bytes, its manifest describes {end}"
+        )
+    return {
+        name: np.frombuffer(raw, dtype="<f8", count=math.prod(shape), offset=offset)
+        .reshape(shape).astype(np.float64, copy=True)
+        for name, shape, offset in entries
+    }
+
+
+def load_into(params, arrays: dict[str, np.ndarray]) -> None:
+    """Set each ``(name, tensor)`` of ``params`` to ``arrays[name]``, which
+    must exist with the tensor's shape; a ``CheckpointError`` names it if not."""
+    for name, p in params:
+        if name not in arrays:
+            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
+        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+        if arr.shape != p.data.shape:
+            raise CheckpointError(
+                f"tensor {name!r} has shape {arr.shape}, expected {p.data.shape}"
+            )
+        p.data = arr

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
+from .checkpoint import CheckpointError, load_into
 from .corpus import CorpusError, SplitSpec
 from .encoding import EncodingError, Vocab, build_vocab, encode
 from .finetune import (
@@ -104,8 +105,7 @@ def _load_heads(model, arrays, meta) -> DetectionHeads:
         np.random.default_rng(0),
         threshold=float(meta.get("threshold", 0.5)),
     )
-    for name, p in heads.parameters():
-        p.data = np.ascontiguousarray(arrays[name], dtype=np.float64)
+    load_into(heads.parameters(), arrays)
     return heads
 
 
@@ -188,9 +188,10 @@ def cmd_pretrain(args) -> int:
                          max_decode_len=args.max_decode_len)
     mlm_head = MlmHead(cfg.hidden, cfg.ffn_hidden, cfg.vocab_size, mlm_rng)
     if arrays is not None:
-        for name, p in list(decoder.parameters()) + list(mlm_head.parameters()):
-            if name in arrays:
-                p.data = np.ascontiguousarray(arrays[name], dtype=np.float64)
+        # a module the checkpoint has no tensor of starts fresh
+        for module, prefix in ((decoder, "decoder."), (mlm_head, "mlm.")):
+            if any(k.startswith(prefix) for k in arrays):
+                load_into(module.parameters(), arrays)
     encodeds, skipped = _encode_corpus(samples, vocab, model.config.m_len)
     if not encodeds:
         raise UsageError("no encodable samples in the corpus")
@@ -489,7 +490,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, CorpusError, EncodingError, FileNotFoundError) as exc:
+    except (UsageError, CorpusError, EncodingError, CheckpointError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -82,10 +82,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def size(self) -> int:
-        return len(self.tokens)
-
     def encode_token(self, token: str) -> int:
         return self.ids.get(token, UNK)
 
@@ -252,12 +248,10 @@ def correspondence_apply(line_spans: list[tuple[int, int]], T: Tensor) -> Tensor
     """Mean of token vectors per line span: the shared Average kernel.
 
     Equivalent to multiplying the row-normalized correspondence matrix with
-    the token matrix, but computed span-by-span on the sparse form.
+    the token matrix, but computed span-by-span on the sparse form: zero
+    scores, which ``span_combine``'s per-span softmax makes uniform weights.
     """
     for o, p in line_spans:
         if p <= o:
             raise EncodingError(f"empty span ({o}, {p})")
-    weights = np.concatenate(
-        [np.full(p - o, 1.0 / (p - o)) for o, p in line_spans]
-    )
-    return span_combine(T, line_spans, constant(weights))
+    return span_combine(T, line_spans, constant(np.zeros(T.shape[0])))

@@ -113,10 +113,6 @@ class PredictionReport:
     k_percent: float
     lines: list[int]             # retained original line numbers, in order
 
-    @property
-    def retained_lines(self) -> int:
-        return len(self.lines)
-
     def to_dict(self) -> dict:
         return {
             "id": self.id,

@@ -32,12 +32,15 @@ CONFIG_NAME = "config.json"
 VOCAB_NAME = "vocab.txt"
 
 
+class BundleConfigError(ValueError):
+    """A bundle's config file does not parse or does not describe a model."""
+
+
 @dataclass
 class ModelConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     m_len: int = 512
     t2s: str = "average"
-    attn_pool_dim: int | None = None
 
     def __post_init__(self):
         if self.m_len <= 0 or self.m_len % SEGMENT_TOKENS != 0:
@@ -47,26 +50,20 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         d = self.encoder.to_dict()
-        return {
-            "encoder": d,
-            "m_len": self.m_len,
-            "t2s": self.t2s,
-            "attn_pool_dim": self.attn_pool_dim,
-        }
+        return {"encoder": d, "m_len": self.m_len, "t2s": self.t2s}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        # bundles written before the program pool was fixed carry the key
-        pool = d.get("program_pool", "summary")
-        if pool != "summary":
-            raise ValueError(
-                f"program_pool {pool!r} is not supported; only 'summary' is"
-            )
+        # bundles written before these options were removed carry their keys
+        for key, only in (("program_pool", "summary"), ("attn_pool_dim", None)):
+            if d.get(key, only) != only:
+                raise BundleConfigError(
+                    f"{key} {d[key]!r} is not supported; only {only!r} is"
+                )
         return cls(
             encoder=EncoderConfig(**d["encoder"]),
             m_len=d["m_len"],
             t2s=d["t2s"],
-            attn_pool_dim=d.get("attn_pool_dim"),
         )
 
 
@@ -81,8 +78,7 @@ class HierarchicalModel:
         )
         self.token_encoder = TokenEncoder(config.encoder, te_rng)
         self.pool = make_pool(
-            config.t2s, config.encoder.hidden, config.m_len, pool_rng,
-            config.attn_pool_dim,
+            config.t2s, config.encoder.hidden, config.m_len, pool_rng
         )
         self.statement_encoder = StatementEncoder(config.encoder, se_rng)
 
@@ -94,25 +90,11 @@ class HierarchicalModel:
         params.update(self.statement_encoder.parameters("se"))
         return params
 
-    def zero_grad(self) -> None:
-        for p in self.parameters().values():
-            p.zero_grad()
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self.parameters().items()}
 
-    def load_state(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
-        params = self.parameters()
-        for name, p in params.items():
-            key = prefix + name
-            if key not in arrays:
-                raise KeyError(f"checkpoint is missing tensor {key!r}")
-            arr = np.ascontiguousarray(arrays[key], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise ValueError(
-                    f"tensor {key!r} has shape {arr.shape}, expected {p.data.shape}"
-                )
-            p.data = arr
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        checkpoint.load_into(self.parameters().items(), arrays)
 
     # -- forward --------------------------------------------------------------
 
@@ -186,12 +168,27 @@ def save_bundle(
     checkpoint.save_tensors(directory, arrays)
 
 
-class BundleConfigError(ValueError):
-    """A bundle's config file does not parse or does not describe a model."""
+def _join_head_projections(arrays: dict, cfg: EncoderConfig) -> None:
+    """Replace an older bundle's per-head ``head{h}.w{q,k,v}`` tensors
+    (optimizer moments included) by one ``wqkv`` per layer."""
+    for name in [k for k in arrays if k.endswith(".head0.wq")]:
+        layer = name[:-len(".head0.wq")]
+        parts = [f"{layer}.head{h}.w{kind}"
+                 for kind in "qkv" for h in range(cfg.heads)]
+        for part in parts:
+            if np.shape(arrays.get(part)) != (cfg.hidden, cfg.head_dim):
+                raise checkpoint.CheckpointError(
+                    f"per-head tensor {part!r} is missing or not "
+                    f"{cfg.hidden}x{cfg.head_dim}")
+        arrays[f"{layer}.wqkv"] = np.concatenate([arrays.pop(p) for p in parts], axis=1)
 
 
 def load_bundle(directory: str):
-    """Load (config, arrays, vocab_or_None, meta) from a bundle directory."""
+    """Load (config, arrays, vocab_or_None, meta) from a bundle directory.
+
+    Bundles from before the fused attention projection store per-head
+    ``head{h}.w{q,k,v}`` tensors; they come back joined into ``wqkv``.
+    """
     config_path = os.path.join(directory, CONFIG_NAME)
     with open(config_path) as fh:
         try:
@@ -203,6 +200,7 @@ def load_bundle(directory: str):
                 f"malformed {config_path}: {type(exc).__name__}: {exc}"
             ) from exc
     arrays = checkpoint.load_tensors(directory)
+    _join_head_projections(arrays, config.encoder)
     vocab_path = os.path.join(directory, VOCAB_NAME)
     vocab = Vocab.load(vocab_path) if os.path.exists(vocab_path) else None
     return config, arrays, vocab, meta

@@ -1,14 +1,14 @@
 """Token-to-statement pooling: three ways to seed statement vectors.
 
-Every strategy produces, per line span, a convex combination of that
-span's token vectors (weights are nonnegative and sum to one within the
-span), so statement vectors stay in the hull of their tokens:
+Every strategy is one ``span_combine``: one score per token, softmaxed
+within each line span, so each statement vector is a convex combination
+of its span's token vectors. The strategies differ only in the scores:
 
-* ``average``   - uniform weights (the shared correspondence kernel);
-* ``weighted``  - a learnable weight per absolute token position,
-                  softmax-normalized within each span;
-* ``attention`` - weights from scaled dot-product scores between the
-                  projected [CLS] vector and each projected token vector.
+* ``average``   - zero scores, i.e. uniform weights (the shared
+                  correspondence kernel);
+* ``weighted``  - a learnable score per absolute token position;
+* ``attention`` - scaled dot-product scores between the projected [CLS]
+                  vector and each projected token vector.
 """
 
 from __future__ import annotations
@@ -24,16 +24,6 @@ from .encoding import correspondence_apply
 __all__ = ["AveragePool", "WeightedPool", "AttentionPool", "make_pool", "POOL_KINDS"]
 
 POOL_KINDS = ("average", "weighted", "attention")
-
-
-def _span_softmax_combine(tokens: Tensor, spans: list[tuple[int, int]],
-                          scores: Tensor) -> Tensor:
-    """Softmax ``scores`` within each span; combine each span's tokens by them."""
-    pieces = []
-    for o, p in spans:
-        raw = scores.rows(o, p).reshape((1, p - o))
-        pieces.append(T.softmax_rows(raw).reshape((p - o,)))
-    return T.span_combine(tokens, spans, T.concat_rows(pieces))
 
 
 class AveragePool:
@@ -69,7 +59,7 @@ class WeightedPool:
                 f"weight table covers {self.position_weight.shape[0]} positions, "
                 f"stream has {n}"
             )
-        return _span_softmax_combine(tokens, spans, self.position_weight)
+        return T.span_combine(tokens, spans, self.position_weight.rows(0, n))
 
 
 class AttentionPool:
@@ -90,20 +80,14 @@ class AttentionPool:
         q = tokens.rows(0, 1) @ self.q_proj                   # [1 x d_a]
         keys = tokens @ self.k_proj                           # [n x d_a]
         scores = (keys @ q.transpose()) * (1.0 / math.sqrt(self.attn_dim))
-        return _span_softmax_combine(tokens, spans, scores)
+        return T.span_combine(tokens, spans, scores.reshape((tokens.shape[0],)))
 
 
-def make_pool(
-    kind: str,
-    hidden: int,
-    m_len: int,
-    rng: np.random.Generator,
-    attn_dim: int | None = None,
-):
+def make_pool(kind: str, hidden: int, m_len: int, rng: np.random.Generator):
     if kind == "average":
         return AveragePool()
     if kind == "weighted":
         return WeightedPool(m_len)
     if kind == "attention":
-        return AttentionPool(hidden, attn_dim, rng)
+        return AttentionPool(hidden, hidden, rng)
     raise ValueError(f"unknown t2s strategy {kind!r}; choose from {POOL_KINDS}")

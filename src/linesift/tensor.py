@@ -409,38 +409,28 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(s, (x,), back)
 
 
-def multi_head_attention(H: Tensor, wq: list[Tensor], wk: list[Tensor],
-                         wv: list[Tensor], sink=None) -> Tensor:
+def multi_head_attention(H: Tensor, wqkv: Tensor, heads: int, sink=None) -> Tensor:
     """Scaled-dot self-attention over all heads as one op, heads concatenated.
 
-    Head h computes softmax(Q_h K_h^T / sqrt(d_k)) V_h with Q_h = H wq[h],
-    K_h = H wk[h], V_h = H wv[h]; the [n x heads*d_k] output holds the heads
-    side by side (the output projection is left to the caller). When
-    ``sink`` is a list, one list of the per-head [n x n] attention matrices
-    is appended to it.
+    ``wqkv`` is [d x 3*heads*d_k]: every head's query projection, then every
+    head's key projection, then every head's value projection. Head h
+    computes softmax(Q_h K_h^T / sqrt(d_k)) V_h; the [n x heads*d_k] output
+    holds the heads side by side (the output projection is left to the
+    caller). When ``sink`` is a list, one list of the per-head [n x n]
+    attention matrices is appended to it.
 
     The backward pass is analytic; the attention weights are the only
     [n x n] array it keeps.
     """
-    heads = len(wq)
-    if heads == 0 or len(wk) != heads or len(wv) != heads:
+    if (H.ndim != 2 or wqkv.ndim != 2 or heads < 1 or wqkv.shape[0] != H.shape[1]
+            or wqkv.shape[1] % (3 * heads)):
         raise ShapeMismatch(
-            f"multi_head_attention: {len(wq)}/{len(wk)}/{len(wv)} "
-            f"query/key/value weights"
+            f"multi_head_attention: input {H.shape}, wqkv {wqkv.shape}, {heads} heads"
         )
-    if H.ndim != 2:
-        raise ShapeMismatch(f"multi_head_attention: expects 2-D input, got {H.shape}")
-    weights = (*wq, *wk, *wv)
-    n, d = H.shape
-    dk = wq[0].shape[1]
-    for w in weights:
-        if w.shape != (d, dk):
-            raise ShapeMismatch(
-                f"multi_head_attention: weight shape {w.shape}, expected {(d, dk)}"
-            )
-    width = heads * dk
-    W = np.concatenate([w.data for w in weights], axis=1)
-    qkv = H.data @ W
+    n = H.shape[0]
+    width = wqkv.shape[1] // 3
+    dk = width // heads
+    qkv = H.data @ wqkv.data
     # [heads x n x dk] views of the query, key and value column blocks
     q, k, v = (qkv[:, i * width:(i + 1) * width].reshape(n, heads, dk)
                .transpose(1, 0, 2) for i in range(3))
@@ -470,13 +460,11 @@ def multi_head_attention(H: Tensor, wq: list[Tensor], wk: list[Tensor],
         g_q[...] = np.matmul(g_att, k * scale_dk)
         g_k[...] = np.matmul(g_att.transpose(0, 2, 1), q * scale_dk)
         if H.requires_grad:
-            _accumulate(grads, H, g_qkv @ W.T)
-        if any(w.requires_grad for w in weights):
-            g_W = H.data.T @ g_qkv
-            for i, w in enumerate(weights):
-                _accumulate(grads, w, g_W[:, i * dk:(i + 1) * dk])
+            _accumulate(grads, H, g_qkv @ wqkv.data.T)
+        if wqkv.requires_grad:
+            _accumulate(grads, wqkv, H.data.T @ g_qkv)
 
-    return _result(out, (H, *weights), back)
+    return _result(out, (H, wqkv), back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
@@ -553,46 +541,46 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _result(x.data * keep, (x,), back)
 
 
-def span_combine(values: Tensor, spans: list[tuple[int, int]], weights: Tensor) -> Tensor:
-    """Per-span weighted sums of rows of ``values``.
+def span_combine(values: Tensor, spans: list[tuple[int, int]], scores: Tensor) -> Tensor:
+    """Per-span softmax-weighted sums of rows of ``values``.
 
-    ``spans`` are half-open row ranges; ``weights`` is a 1-D tensor whose
-    entries line up with the spans concatenated in order. Output row i is
-    sum_j weights[j] * values[row_j] over span i. Gradients flow to both
-    the rows and the weights.
+    ``spans`` are half-open row ranges; ``scores`` holds one score per row
+    of ``values``. Output row i is sum_j w_j * values[j] over span i, where
+    w is the softmax of the span's scores, so zero scores give the span's
+    mean. Gradients flow to both the rows and the scores.
     """
-    if weights.ndim != 1:
-        raise ShapeMismatch(f"span_combine: weights must be 1-D, got {weights.shape}")
-    total = sum(p - o for o, p in spans)
-    if total != weights.shape[0]:
-        raise ShapeMismatch(
-            f"span_combine: weights length {weights.shape[0]} != spanned rows {total}"
-        )
     n = values.shape[0]
+    if values.ndim != 2 or scores.shape != (n,):
+        raise ShapeMismatch(
+            f"span_combine: values {values.shape} need scores of shape ({n},), "
+            f"got {scores.shape}"
+        )
     out = np.empty((len(spans), values.shape[1]), dtype=np.float64)
-    offset = 0
-    offsets = []
+    weights = []
     for i, (o, p) in enumerate(spans):
         if not (0 <= o < p <= n):
             raise ShapeMismatch(f"span_combine: span ({o}, {p}) invalid for {n} rows")
-        out[i] = weights.data[offset:offset + (p - o)] @ values.data[o:p]
-        offsets.append(offset)
-        offset += p - o
+        raw = scores.data[o:p]
+        e = np.exp(raw - raw.max())
+        w = e / e.sum()
+        out[i] = w @ values.data[o:p]
+        weights.append(w)
 
     def back(g, grads):
         if values.requires_grad:
             gv = np.zeros_like(values.data)
-            for i, (o, p) in enumerate(spans):
-                w = weights.data[offsets[i]:offsets[i] + (p - o)]
-                gv[o:p] += np.outer(w, g[i])
+            for (o, p), w, g_row in zip(spans, weights, g):
+                gv[o:p] += np.outer(w, g_row)
             _accumulate(grads, values, gv)
-        if weights.requires_grad:
-            gw = np.zeros_like(weights.data)
-            for i, (o, p) in enumerate(spans):
-                gw[offsets[i]:offsets[i] + (p - o)] = values.data[o:p] @ g[i]
-            _accumulate(grads, weights, gw)
+        if scores.requires_grad:
+            gs = np.zeros_like(scores.data)
+            for (o, p), w, g_row in zip(spans, weights, g):
+                # softmax backward within the span: w * (g_w - sum(g_w * w))
+                g_w = values.data[o:p] @ g_row
+                gs[o:p] += w * (g_w - (g_w * w).sum())
+            _accumulate(grads, scores, gs)
 
-    return _result(out, (values, weights), back)
+    return _result(out, (values, scores), back)
 
 
 def cross_entropy(logits: Tensor, targets, class_weights=None) -> Tensor:

@@ -5,12 +5,12 @@ One layer computes, in post-norm residual order:
     G = LN(MultiAttn(H) + H)
     H' = LN(FFN(G) + G)
 
-with per-head projections Q = H Wq, K = H Wk, V = H Wv, scaled-dot
-attention softmax(Q K^T / sqrt(d_k)) V, head concatenation through Wo, and
-a two-layer GELU feed-forward (``Mlp``, which also serves as the detection
-and MLM heads). The token encoder adds token + learned absolute position
-embeddings to one unpadded segment; the statement encoder prepends a
-learnable program-summary row to the statement vectors.
+with every head's projections Q, K, V = H Wqkv from one fused matrix,
+scaled-dot attention softmax(Q K^T / sqrt(d_k)) V, head concatenation
+through Wo, and a two-layer GELU feed-forward (``Mlp``, which also serves
+as the detection and MLM heads). The token encoder adds token + learned
+absolute position embeddings to one unpadded segment; the statement
+encoder prepends a learnable program-summary row to the statement vectors.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class Mlp:
 class _Layer:
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         d, dk, u = cfg.hidden, cfg.head_dim, cfg.heads
-        self.wq = [_normal(rng, (d, dk)) for _ in range(u)]
-        self.wk = [_normal(rng, (d, dk)) for _ in range(u)]
-        self.wv = [_normal(rng, (d, dk)) for _ in range(u)]
+        # one [d x dk] draw per head: all queries, then keys, then values
+        self.wqkv = T.parameter(np.concatenate(
+            [rng.normal(0.0, 0.02, (d, dk)) for _ in range(3 * u)], axis=1))
         self.wo = _normal(rng, (u * dk, d))
         self.ffn = Mlp(d, cfg.ffn_hidden, d, rng)
         self.ln1_gain = T.parameter(np.ones(d))
@@ -102,10 +102,7 @@ class _Layer:
         self.ln2_bias = T.parameter(np.zeros(d))
 
     def parameters(self, prefix: str):
-        for h, (q, k, v) in enumerate(zip(self.wq, self.wk, self.wv)):
-            yield f"{prefix}.head{h}.wq", q
-            yield f"{prefix}.head{h}.wk", k
-            yield f"{prefix}.head{h}.wv", v
+        yield f"{prefix}.wqkv", self.wqkv
         yield f"{prefix}.wo", self.wo
         yield from self.ffn.parameters(f"{prefix}.")
         for name in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
@@ -133,7 +130,7 @@ class EncoderStack:
         drop = self.cfg.dropout if training else 0.0
         for layer in self.layers:
             mixed = T.multi_head_attention(
-                H, layer.wq, layer.wk, layer.wv, attention_sink
+                H, layer.wqkv, self.cfg.heads, attention_sink
             ) @ layer.wo
             if drop > 0.0:
                 mixed = T.dropout(mixed, drop, rng)

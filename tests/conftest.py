@@ -6,23 +6,41 @@ import pytest
 from linesift.encoding import CLS, EncodedSample, RESERVED_TOKENS
 
 
+def pick_elements(rng, name, shape, count, head_dim=None):
+    """Flat indices of ``count`` random elements of a tensor.
+
+    With ``head_dim``, a fused attention projection (a name ending in
+    ``wqkv``) gets ``count`` elements in each [d x head_dim] column block,
+    i.e. as many per head projection as a separate per-head tensor would.
+    """
+    size = int(np.prod(shape))
+    if head_dim is None or not name.endswith("wqkv"):
+        return [int(f) for f in rng.choice(size, size=min(count, size), replace=False)]
+    rows, cols = shape
+    picks = []
+    for start in range(0, cols, head_dim):
+        for flat in rng.choice(rows * head_dim, size=count, replace=False):
+            row, col = divmod(int(flat), head_dim)
+            picks.append(row * cols + start + col)
+    return picks
+
+
 def finite_difference_failures(
-    loss_fn, params, rng, elements_per_tensor=3, step=1e-5, rtol=1e-4, atol=1e-7
+    loss_fn, params, rng, elements_per_tensor=3, step=1e-5, rtol=1e-4, atol=1e-7,
+    head_dim=None,
 ):
     """Central finite differences against stored analytic grads.
 
     ``loss_fn`` re-runs the forward pass and returns a float; each tensor's
-    ``.grad`` must already hold the analytic gradient of that loss. Returns
-    a list of (name, flat_index, analytic, numeric) tuples that fail
-    |a - n| <= rtol * max(|a|, |n|) + atol.
+    ``.grad`` must already hold the analytic gradient of that loss. Elements
+    are chosen by ``pick_elements``. Returns a list of (name, flat_index,
+    analytic, numeric) tuples that fail |a - n| <= rtol * max(|a|, |n|) + atol.
     """
     failures = []
     for name, p in params.items():
-        size = p.data.size
-        count = min(elements_per_tensor, size)
-        picks = rng.choice(size, size=count, replace=False)
+        picks = pick_elements(rng, name, p.data.shape, elements_per_tensor,
+                              head_dim)
         for flat in picks:
-            flat = int(flat)
             orig = p.data.flat[flat]
             p.data.flat[flat] = orig + step
             up = loss_fn()
@@ -73,6 +91,21 @@ def make_encoded(
     )
     enc.validate()
     return enc
+
+
+def per_head_names(arrays, heads):
+    """Store each fused ``wqkv`` (optimizer moments too) under the per-head
+    ``head{h}.w{q,k,v}`` names that bundles used before the fusion."""
+    out = {}
+    for name, arr in arrays.items():
+        if not name.endswith(".wqkv"):
+            out[name] = arr
+            continue
+        layer = name[:-len(".wqkv")]
+        for i, block in enumerate(np.split(arr, 3 * heads, axis=1)):
+            kind, h = divmod(i, heads)
+            out[f"{layer}.head{h}.w{'qkv'[kind]}"] = block
+    return out
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_encoded
+from conftest import make_encoded, pick_elements
 from linesift import tensor as T
 from linesift.corpus import bundled_corpus_path, load_corpus, synthesize_corpus
 from linesift.encoding import build_vocab, encode
@@ -106,9 +106,10 @@ def test_criterion_1_gradient_suite():
     step = 1e-5
     failures = []
     for name, p in sorted(params.items()):
-        picks = rng.choice(p.data.size, size=min(3, p.data.size), replace=False)
+        # 3 elements per tensor, and per head block of a fused wqkv
+        picks = pick_elements(rng, name, p.data.shape, 3,
+                              head_dim=config.encoder.head_dim)
         for flat in picks:
-            flat = int(flat)
             orig = p.data.flat[flat]
             p.data.flat[flat] = orig + step
             up = loss_tensor().item()

@@ -9,6 +9,8 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import per_head_names
+from linesift import checkpoint
 from linesift.cli import main
 from linesift.corpus import bundled_corpus_path, load_corpus, synthesize_corpus, save_corpus
 from linesift.model import HierarchicalModel, load_bundle
@@ -106,6 +108,21 @@ class TestPretrainCommand:
                    if not np.array_equal(arrays_a[k], arrays_b[k])]
         assert changed  # training moved on from the restored weights
 
+    def test_init_from_missing_decoder_tensor_exits_2(self, tmp_path, corpus_path,
+                                                       capsys):
+        first = tmp_path / "p1"
+        assert main(["pretrain", "--corpus", corpus_path, "--out", str(first),
+                     "--steps", "0", "--vocab-size", "512"]) == 0
+        bundle = str(first / "checkpoint")
+        arrays = checkpoint.load_tensors(bundle)
+        del arrays["decoder.proj_b"]
+        checkpoint.save_tensors(bundle, arrays)
+        code = main(["pretrain", "--corpus", corpus_path,
+                     "--out", str(tmp_path / "p2"), "--steps", "1",
+                     "--init-from", bundle])
+        assert code == 2
+        assert "'decoder.proj_b'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_max_decode_len_below_one_exits_2(self, tmp_path, corpus_path,
                                               capsys, bad):
@@ -150,6 +167,23 @@ class TestFinetuneCommand:
         assert set(metrics) >= {"accuracy", "precision", "recall", "f1"}
 
     def test_resume_matches_uninterrupted(self, tmp_path, corpus_path):
+        self._check_resume(tmp_path, corpus_path)
+
+    def test_resume_from_per_head_last_matches_uninterrupted(self, tmp_path,
+                                                             corpus_path):
+        def per_head_last(parted):
+            # rewrite last/ (weights and AdamW moments) as an older bundle
+            last = str(parted / "last")
+            arrays = checkpoint.load_tensors(last)
+            assert "opt.m.te.layer0.wqkv" in arrays
+            heads = load_bundle(last)[0].encoder.heads
+            checkpoint.save_tensors(last, per_head_names(arrays, heads))
+            manifest = (parted / "last" / "manifest.txt").read_text()
+            assert "opt.v.se.layer1.head3.wv" in manifest
+
+        self._check_resume(tmp_path, corpus_path, per_head_last)
+
+    def _check_resume(self, tmp_path, corpus_path, edit_last=None):
         # with this seed the best evaluation F1 comes in the first epoch, so
         # a resume that forgot it would pick a later one
         args = ["--corpus", corpus_path, "--batch", "6", "--lr", "3e-3",
@@ -162,6 +196,8 @@ class TestFinetuneCommand:
         parted = tmp_path / "parted"
         assert main(["finetune", *args, "--out", str(parted),
                      "--epochs", "2"]) == 0
+        if edit_last is not None:
+            edit_last(parted)
         assert main(["finetune", *args, "--out", str(parted),
                      "--epochs", "4", "--resume"]) == 0
 
@@ -227,6 +263,37 @@ class TestEvaluateCommand:
                      "--checkpoint", str(bundle), "--out", str(tmp_path / "ev")])
         assert code == 2
         assert str(config_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, shape", [
+        ("te.layer0.wo", None), ("heads.dnet_w2", None), ("heads.stmt_w2", (256, 3)),
+    ], ids=["drop_wo", "drop_dnet_w2", "three_class_stmt_w2"])
+    def test_missing_or_misshapen_tensor_exits_2(self, finetuned, corpus_path,
+                                                 tmp_path, capsys, name, shape):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(os.path.join(finetuned, "best"), bundle)
+        arrays = checkpoint.load_tensors(str(bundle))
+        if shape is None:
+            del arrays[name]
+        else:
+            arrays[name] = np.zeros(shape)
+        checkpoint.save_tensors(str(bundle), arrays)
+        code = main(["evaluate", "--corpus", corpus_path,
+                     "--checkpoint", str(bundle), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert f"'{name}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [-800, 8])
+    def test_blob_length_mismatch_exits_2(self, finetuned, corpus_path, tmp_path,
+                                          capsys, change):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(os.path.join(finetuned, "best"), bundle)
+        blob = bundle / "weights.bin"
+        raw = blob.read_bytes()
+        blob.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+        code = main(["evaluate", "--corpus", corpus_path,
+                     "--checkpoint", str(bundle), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert str(blob) in capsys.readouterr().err
 
     def test_checkpoint_without_heads_exits_2(self, corpus_path, tmp_path):
         pt = tmp_path / "pt"

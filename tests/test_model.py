@@ -5,14 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_encoded
+from conftest import make_encoded, per_head_names
 from linesift import tensor as T
+from linesift.checkpoint import CheckpointError
 from linesift.encoding import _boundaries
 from linesift.finetune import DetectionHeads, predict
 from linesift.model import (
-    CONFIG_NAME, HierarchicalModel, ModelConfig, load_bundle, save_bundle,
+    CONFIG_NAME, BundleConfigError, HierarchicalModel, ModelConfig, load_bundle,
+    save_bundle,
 )
-from linesift.transformer import EncoderConfig
+from linesift.transformer import EncoderConfig, preset_config
 
 SMALL = ModelConfig(
     encoder=EncoderConfig(layers=1, hidden=16, heads=2, ffn_hidden=32,
@@ -150,16 +152,16 @@ class TestParametersAndBundles:
         after = reloaded.encode_program(enc)[0].data
         assert np.array_equal(before, after)
 
-    def _bundle_with_program_pool(self, directory, model, pool):
+    def _bundle_with_config(self, directory, model, key, value):
         save_bundle(str(directory), model.config, model.state_arrays())
         path = directory / CONFIG_NAME
         payload = json.loads(path.read_text())
-        payload["model"]["program_pool"] = pool
+        payload["model"][key] = value
         path.write_text(json.dumps(payload))
 
     def test_bundle_with_summary_program_pool_loads_and_predicts(
             self, tmp_path, model, rng):
-        self._bundle_with_program_pool(tmp_path, model, "summary")
+        self._bundle_with_config(tmp_path, model, "program_pool", "summary")
         config, arrays, _, _ = load_bundle(str(tmp_path))
         reloaded = HierarchicalModel(config, seed=5)
         reloaded.load_state(arrays)
@@ -169,17 +171,61 @@ class TestParametersAndBundles:
                 == predict(enc, model, heads).to_dict())
 
     def test_bundle_with_mean_program_pool_rejected(self, tmp_path, model):
-        self._bundle_with_program_pool(tmp_path, model, "mean")
+        self._bundle_with_config(tmp_path, model, "program_pool", "mean")
         with pytest.raises(ValueError, match="program_pool"):
+            load_bundle(str(tmp_path))
+
+    def test_bundle_with_null_attn_pool_dim_loads(self, tmp_path, model):
+        self._bundle_with_config(tmp_path, model, "attn_pool_dim", None)
+        config, _, _, _ = load_bundle(str(tmp_path))
+        assert config.to_dict() == model.config.to_dict()
+
+    def test_bundle_with_attn_pool_dim_rejected(self, tmp_path, model):
+        self._bundle_with_config(tmp_path, model, "attn_pool_dim", 8)
+        with pytest.raises(BundleConfigError, match="attn_pool_dim"):
+            load_bundle(str(tmp_path))
+
+    def test_one_projection_tensor_per_attention_layer(self, tmp_path):
+        cfg = ModelConfig(encoder=preset_config("desk-2x64x4", vocab_size=50))
+        desk = HierarchicalModel(cfg, seed=0)
+        params = desk.parameters()
+        assert len(params) == 44
+        fused = [name for name in params if name.endswith(".wqkv")]
+        assert sorted(fused) == [f"{s}.layer{i}.wqkv"
+                                 for s in ("se", "te") for i in range(2)]
+        assert all(params[name].shape == (64, 192) for name in fused)
+        save_bundle(str(tmp_path), cfg, desk.state_arrays())
+        assert "head" not in (tmp_path / "manifest.txt").read_text()
+
+    def test_per_head_bundle_predicts_bit_identically(self, tmp_path, model, rng):
+        arrays = per_head_names(model.state_arrays(), SMALL.encoder.heads)
+        assert "te.layer0.head1.wv" in arrays and "te.layer0.wqkv" not in arrays
+        save_bundle(str(tmp_path), model.config, arrays)
+        config, loaded, _, _ = load_bundle(str(tmp_path))
+        assert loaded.keys() == model.state_arrays().keys()
+        reloaded = HierarchicalModel(config, seed=5)
+        reloaded.load_state(loaded)
+        for name, p in model.parameters().items():
+            assert np.array_equal(reloaded.parameters()[name].data, p.data), name
+        heads = DetectionHeads(16, 32, np.random.default_rng(3), threshold=0.0)
+        enc = make_encoded(rng, 600)
+        assert (predict(enc, reloaded, heads).to_dict()
+                == predict(enc, model, heads).to_dict())
+
+    def test_per_head_bundle_missing_block_rejected(self, tmp_path, model):
+        arrays = per_head_names(model.state_arrays(), SMALL.encoder.heads)
+        del arrays["se.layer0.head1.wk"]
+        save_bundle(str(tmp_path), model.config, arrays)
+        with pytest.raises(CheckpointError, match="'se.layer0.head1.wk'"):
             load_bundle(str(tmp_path))
 
     def test_load_state_rejects_missing_or_misshapen(self, model):
         arrays = model.state_arrays()
         arrays = {k: v for k, v in arrays.items() if k != "te.tok_emb"}
-        with pytest.raises(KeyError):
+        with pytest.raises(CheckpointError, match="missing tensor 'te.tok_emb'"):
             model.load_state(arrays)
         arrays["te.tok_emb"] = np.zeros((2, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointError, match="'te.tok_emb' has shape"):
             model.load_state(arrays)
 
     def test_same_seed_same_init(self):

@@ -197,3 +197,13 @@ class TestSharedProperties:
         assert make_pool("attention", 8, 64, rng).kind == "attention"
         with pytest.raises(ValueError):
             make_pool("maxpool", 8, 64, rng)
+
+    def test_graph_size_independent_of_line_count(self, rng):
+        # every strategy is one span_combine: no graph node per line
+        for pool in self.pools(rng):
+            sizes = set()
+            for lines in (1, 40):
+                tokens = T.parameter(rng.normal(size=(41, 6)))
+                spans = [(o, o + 40 // lines) for o in range(1, 41, 40 // lines)]
+                sizes.add(len(T._topo_order(pool.apply(tokens, spans))))
+            assert len(sizes) == 1, (pool.kind, sizes)

@@ -287,7 +287,8 @@ class TestMspLoss:
         loss, _ = msp_loss(enc, plan, model, decoder)
         loss.backward()
         failures = finite_difference_failures(forward, params, rng,
-                                              elements_per_tensor=1)
+                                              elements_per_tensor=1,
+                                              head_dim=TINY.encoder.head_dim)
         assert failures == []
 
 
@@ -336,7 +337,8 @@ class TestMlmLoss:
         loss, _ = mlm_loss(enc, model, head, seed=4)
         loss.backward()
         failures = finite_difference_failures(forward, params, rng,
-                                              elements_per_tensor=1)
+                                              elements_per_tensor=1,
+                                              head_dim=TINY.encoder.head_dim)
         assert failures == []
 
 

@@ -404,16 +404,49 @@ class TestTensorInvariants:
     def test_span_combine_matches_manual(self, rng):
         values = T.parameter(rng.normal(size=(9, 4)))
         spans = [(1, 4), (4, 5), (5, 9)]
-        w = T.parameter(rng.normal(size=8))
-        out = T.span_combine(values, spans, w)
-        expected = np.stack([
-            w.data[0:3] @ values.data[1:4],
-            w.data[3:4] @ values.data[4:5],
-            w.data[4:8] @ values.data[5:9],
-        ])
+        scores = T.parameter(rng.normal(size=9))
+        out = T.span_combine(values, spans, scores)
+
+        def softmax(x):
+            e = np.exp(x - x.max())
+            return e / e.sum()
+
+        expected = np.stack([softmax(scores.data[o:p]) @ values.data[o:p]
+                             for o, p in spans])
         assert np.max(np.abs(out.data - expected)) < 1e-12
         out.sum().backward()
-        assert values.grad is not None and w.grad is not None
+        # row 0 lies in no span; a lone row's weight is 1 whatever its score
+        assert not values.grad[0].any() and scores.grad[0] == 0.0
+        assert np.max(np.abs(scores.grad[4])) < 1e-12
+
+    def test_span_combine_zero_scores_give_span_means(self, rng):
+        values = T.constant(rng.normal(size=(7, 3)))
+        spans = [(0, 2), (2, 7)]
+        out = T.span_combine(values, spans, T.constant(np.zeros(7)))
+        expected = np.stack([values.data[o:p].mean(axis=0) for o, p in spans])
+        assert np.max(np.abs(out.data - expected)) < 1e-12
+
+    def test_span_combine_gradients_match_finite_differences(self, rng):
+        from conftest import finite_difference_failures
+
+        values = T.parameter(rng.normal(size=(9, 4)))
+        scores = T.parameter(rng.normal(size=9))
+        spans = [(0, 3), (3, 4), (4, 9)]
+        params = {"values": values, "scores": scores}
+
+        def loss():
+            return T.tanh(T.span_combine(values, spans, scores)).sum()
+
+        loss().backward()
+        assert finite_difference_failures(lambda: loss().item(), params, rng,
+                                          elements_per_tensor=9) == []
+
+    def test_span_combine_shape_checks(self, rng):
+        values = T.constant(rng.normal(size=(5, 2)))
+        with pytest.raises(ShapeMismatch):
+            T.span_combine(values, [(0, 5)], T.constant(np.zeros(4)))
+        with pytest.raises(ShapeMismatch):
+            T.span_combine(values, [(2, 2)], T.constant(np.zeros(5)))
 
 
 class TestCheckpoint:
@@ -437,3 +470,28 @@ class TestCheckpoint:
         checkpoint.save_tensors(str(tmp_path), {"a.b": np.zeros((2, 3))})
         manifest = (tmp_path / "manifest.txt").read_text()
         assert manifest == "a.b\t2,3\t0\n"
+
+    def _saved(self, tmp_path):
+        checkpoint.save_tensors(str(tmp_path), {"a": np.ones((2, 3)),
+                                                "b": np.zeros(4)})
+        return tmp_path / "weights.bin", tmp_path / "manifest.txt"
+
+    @pytest.mark.parametrize("change", [-8, 8])
+    def test_blob_length_must_match_manifest(self, tmp_path, change):
+        blob, _ = self._saved(tmp_path)
+        raw = blob.read_bytes()
+        blob.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+        with pytest.raises(checkpoint.CheckpointError, match="weights.bin"):
+            checkpoint.load_tensors(str(tmp_path))
+
+    def test_offsets_must_be_running_totals(self, tmp_path):
+        _, manifest = self._saved(tmp_path)
+        manifest.write_text("a\t2,3\t0\nb\t4\t40\n")
+        with pytest.raises(checkpoint.CheckpointError, match="'b'"):
+            checkpoint.load_tensors(str(tmp_path))
+
+    def test_malformed_manifest_line(self, tmp_path):
+        _, manifest = self._saved(tmp_path)
+        manifest.write_text("a\t2,x\t0\n")
+        with pytest.raises(checkpoint.CheckpointError, match="line 1"):
+            checkpoint.load_tensors(str(tmp_path))

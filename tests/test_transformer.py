@@ -10,6 +10,7 @@ from conftest import finite_difference_failures
 from linesift import tensor as T
 from linesift.transformer import (
     EncoderConfig,
+    EncoderStack,
     StatementEncoder,
     TokenEncoder,
     preset_config,
@@ -18,11 +19,17 @@ from linesift.transformer import (
 TOY = EncoderConfig(layers=2, hidden=8, heads=2, ffn_hidden=16, vocab_size=11)
 
 
+def head_blocks(wqkv, heads):
+    """The per-head (wq, wk, wv) [d x d_k] blocks of a fused projection."""
+    blocks = np.split(wqkv, 3 * heads, axis=1)
+    return list(zip(blocks[:heads], blocks[heads:2 * heads], blocks[2 * heads:]))
+
+
 def straight_line_stack(H, stack_layers, head_dim):
     """Independent numpy re-implementation of the layer equations.
 
-    Plain loops over heads, explicit softmax / layer norm / GELU; no shared
-    code with the graph path.
+    Plain loops over heads (each slicing its blocks out of ``wqkv``),
+    explicit softmax / layer norm / GELU; no shared code with the graph path.
     """
     def ln(x, g, b):
         mu = x.mean(axis=1, keepdims=True)
@@ -34,10 +41,11 @@ def straight_line_stack(H, stack_layers, head_dim):
 
     for layer in stack_layers:
         head_outputs = []
-        for wq, wk, wv in zip(layer.wq, layer.wk, layer.wv):
-            q = H @ wq.data
-            k = H @ wk.data
-            v = H @ wv.data
+        heads = layer.wqkv.shape[1] // (3 * head_dim)
+        for wq, wk, wv in head_blocks(layer.wqkv.data, heads):
+            q = H @ wq
+            k = H @ wk
+            v = H @ wv
             scores = q @ k.T / math.sqrt(head_dim)
             scores -= scores.max(axis=1, keepdims=True)
             weights = np.exp(scores)
@@ -51,21 +59,19 @@ def straight_line_stack(H, stack_layers, head_dim):
     return H
 
 
-def per_head_attention(H, wq, wk, wv):
+def per_head_attention(H, blocks):
     """The per-head attention chain built from primitive graph ops."""
-    inv_sqrt_dk = 1.0 / math.sqrt(wq[0].shape[1])
+    inv_sqrt_dk = 1.0 / math.sqrt(blocks[0][0].shape[1])
     heads = []
-    for q_w, k_w, v_w in zip(wq, wk, wv):
+    for q_w, k_w, v_w in blocks:
         q, k, v = T.matmul(H, q_w), T.matmul(H, k_w), T.matmul(H, v_w)
         att = T.softmax_rows(T.scale(T.matmul(q, T.transpose(k)), inv_sqrt_dk))
         heads.append(T.matmul(att, v))
     return T.concat_cols(heads)
 
 
-def attention_params(rng, heads, hidden, std=0.5):
-    dk = hidden // heads
-    return [[T.parameter(rng.normal(0.0, std, (hidden, dk))) for _ in range(heads)]
-            for _ in range(3)]
+def attention_params(rng, hidden, std=0.5):
+    return T.parameter(rng.normal(0.0, std, (hidden, 3 * hidden)))
 
 
 class TestMultiHeadAttention:
@@ -73,43 +79,59 @@ class TestMultiHeadAttention:
     def test_matches_per_head_chain(self, rng, heads):
         n, d = 7, 8
         H = T.parameter(rng.normal(size=(n, d)))
-        wq, wk, wv = attention_params(rng, heads, d)
-        params = [H, *wq, *wk, *wv]
+        wqkv = attention_params(rng, d)
+        blocks = [tuple(T.parameter(w.copy()) for w in ws)
+                  for ws in head_blocks(wqkv.data, heads)]
         upstream = T.constant(rng.normal(size=(n, d)))
-        results = []
-        for attention in (per_head_attention, T.multi_head_attention):
-            for p in params:
-                p.zero_grad()
-            out = attention(H, wq, wk, wv)
-            T.mul(out, upstream).sum().backward()
-            results.append((out.data, [p.grad for p in params]))
-        (ref, ref_grads), (fused, fused_grads) = results
-        assert np.max(np.abs(fused - ref)) < 1e-12
-        for got, want in zip(fused_grads, ref_grads):
-            assert np.max(np.abs(got - want)) < 1e-12
+        ref = per_head_attention(H, blocks)
+        T.mul(ref, upstream).sum().backward()
+        ref_grad_h = H.grad
+        H.zero_grad()
+        out = T.multi_head_attention(H, wqkv, heads)
+        T.mul(out, upstream).sum().backward()
+        assert np.max(np.abs(out.data - ref.data)) < 1e-12
+        assert np.max(np.abs(H.grad - ref_grad_h)) < 1e-12
+        for got, want in zip(head_blocks(wqkv.grad, heads), blocks):
+            for g, w in zip(got, want):  # every head's wq, wk and wv block
+                assert np.max(np.abs(g - w.grad)) < 1e-12
 
     def test_finite_differences_on_toy(self, rng):
         H = T.parameter(rng.normal(size=(6, TOY.hidden)))
-        wq, wk, wv = attention_params(rng, TOY.heads, TOY.hidden)
-        params = {"H": H}
-        for kind, ws in (("wq", wq), ("wk", wk), ("wv", wv)):
-            params.update({f"head{h}.{kind}": w for h, w in enumerate(ws)})
+        wqkv = attention_params(rng, TOY.hidden)
+        params = {"H": H, "wqkv": wqkv}
 
         def loss():
-            return T.tanh(T.multi_head_attention(H, wq, wk, wv)).sum()
+            return T.tanh(T.multi_head_attention(H, wqkv, TOY.heads)).sum()
 
         for p in params.values():
             p.zero_grad()
         loss().backward()
         failures = finite_difference_failures(lambda: loss().item(), params, rng,
-                                              elements_per_tensor=4)
+                                              elements_per_tensor=4,
+                                              head_dim=TOY.head_dim)
         assert failures == []
+
+    def test_shape_checked(self, rng):
+        H = T.constant(rng.normal(size=(5, TOY.hidden)))
+        with pytest.raises(T.ShapeMismatch):
+            T.multi_head_attention(H, T.constant(np.zeros((TOY.hidden, 10))), 2)
+        with pytest.raises(T.ShapeMismatch):
+            T.multi_head_attention(H, T.constant(np.zeros((4, 24))), 2)
+
+    def test_layer_draws_one_block_per_head(self):
+        # the per-head [d x d_k] draws of older versions, so seeds keep
+        # giving the same initial weights
+        layer = EncoderStack(TOY, np.random.default_rng(0)).layers[0]
+        rng = np.random.default_rng(0)
+        blocks = [rng.normal(0.0, 0.02, (TOY.hidden, TOY.head_dim))
+                  for _ in range(3 * TOY.heads)]
+        assert np.array_equal(layer.wqkv.data, np.concatenate(blocks, axis=1))
 
     def test_sink_receives_each_heads_map(self, rng):
         H = T.constant(rng.normal(size=(5, TOY.hidden)))
-        wq, wk, wv = attention_params(rng, TOY.heads, TOY.hidden)
+        wqkv = attention_params(rng, TOY.hidden)
         sink = []
-        T.multi_head_attention(H, wq, wk, wv, sink)
+        T.multi_head_attention(H, wqkv, TOY.heads, sink)
         assert len(sink) == 1 and len(sink[0]) == TOY.heads
         for att in sink[0]:
             assert att.shape == (5, 5)
@@ -192,7 +214,8 @@ class TestTokenEncoder:
             p.zero_grad()
         T.tanh(token_encoder.forward(ids)).sum().backward()
         failures = finite_difference_failures(loss_value, params, rng,
-                                              elements_per_tensor=2)
+                                              elements_per_tensor=2,
+                                              head_dim=TOY.head_dim)
         assert failures == []
 
 
@@ -253,7 +276,8 @@ class TestStatementEncoder:
         program, statements = se.forward(T.constant(S0))
         (T.tanh(program).sum() + T.tanh(statements).sum()).backward()
         failures = finite_difference_failures(forward, params, rng,
-                                              elements_per_tensor=2)
+                                              elements_per_tensor=2,
+                                              head_dim=TOY.head_dim)
         assert failures == []
 
 
