@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -26,6 +27,7 @@ from .finetune import (
     FinetuneSchedule,
     finetune_run,
     predict,
+    resume_optimizer,
     write_reports_jsonl,
 )
 from .model import BundleConfigError, HierarchicalModel, ModelConfig, load_bundle
@@ -36,7 +38,6 @@ from .pretrain import (
     PretrainSchedule,
     pretrain_run,
 )
-from .tensor import OptimizerState
 from .transformer import PRESETS, preset_config
 
 M_LEN_CHOICES = (512, 1024, 2048)
@@ -116,6 +117,33 @@ def _float_list(raw: str, flag: str) -> list[float]:
         raise UsageError(f"{flag} expects comma-separated numbers, got {raw!r}") from exc
 
 
+def _percentages(raw: str) -> list[float]:
+    values = _float_list(raw, "--k")
+    if not all(0.0 < k <= 100.0 for k in values):
+        raise UsageError(f"--k values must lie in (0, 100], got {raw!r}")
+    return values
+
+
+def _class_weights(raw: str | None) -> tuple[float, float] | None:
+    if raw is None:
+        return None
+    values = _float_list(raw, "--class-weights")
+    if len(values) != 2 or not all(0.0 < w < math.inf for w in values):
+        raise UsageError(
+            f"--class-weights needs two finite positive numbers, got {raw!r}")
+    return tuple(values)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(raw: str) -> int:  # argparse names the type by this name
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _split_three(args, samples):
     fractions = _float_list(args.split, "--split")
     if len(fractions) != 3:
@@ -171,9 +199,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    if args.max_decode_len < 1:
-        raise UsageError(
-            f"--max-decode-len must be at least 1, got {args.max_decode_len}")
     _echo_config(args)
     samples = _load_corpus(args.corpus)
     if args.init_from:
@@ -212,6 +237,16 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    schedule = FinetuneSchedule(
+        epochs=args.epochs,
+        batch_size=args.batch,
+        learning_rate=args.lr,
+        lambda_fine=args.lambda_fine,
+        seed=args.seed,
+        class_weights=_class_weights(args.class_weights),
+        freeze_encoder=args.freeze_encoder,
+        early_stop_patience=args.early_stop,
+    )
     _echo_config(args)
     samples = _load_corpus(args.corpus)
     train_s, eval_s, test_s = _split_three(args, samples)
@@ -226,13 +261,8 @@ def cmd_finetune(args) -> int:
         model, vocab, arrays, meta = _load_model(last_dir)
         heads = _load_heads(model, arrays, meta)
         start_epoch = int(meta.get("epoch", 0))
-        optimizer = OptimizerState(
-            learning_rate=args.lr, weight_decay=0.01, t=int(meta.get("opt_t", 0)),
-            m={k[len("opt.m."):]: arrays[k].copy() for k in arrays
-               if k.startswith("opt.m.")},
-            v={k[len("opt.v."):]: arrays[k].copy() for k in arrays
-               if k.startswith("opt.v.")},
-        )
+        optimizer = resume_optimizer(arrays, int(meta.get("opt_t", 0)),
+                                     model, heads, schedule)
         resumed = FinetuneResult(
             best_f1=float(meta.get("best_f1", float("-inf"))),
             best_epoch=int(meta.get("best_epoch", -1)),
@@ -252,19 +282,6 @@ def cmd_finetune(args) -> int:
     eval_enc, _ = _encode_corpus(eval_s, vocab, model.config.m_len)
     if not train_enc:
         raise UsageError("no encodable samples in the training split")
-    class_weights = None
-    if args.class_weights:
-        class_weights = tuple(float(x) for x in args.class_weights.split(","))
-    schedule = FinetuneSchedule(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        lambda_fine=args.lambda_fine,
-        seed=args.seed,
-        class_weights=class_weights,
-        freeze_encoder=args.freeze_encoder,
-        early_stop_patience=args.early_stop,
-    )
     result = finetune_run(
         train_enc, eval_enc, model, heads, schedule,
         out_dir=args.out, vocab=vocab,
@@ -299,6 +316,7 @@ def _select_part(args, splits):
 
 
 def cmd_evaluate(args) -> int:
+    k_values = _percentages(args.k)
     _echo_config(args)
     model, vocab, arrays, meta = _load_model(args.checkpoint)
     heads = _load_heads(model, arrays, meta)
@@ -309,7 +327,6 @@ def cmd_evaluate(args) -> int:
     encodeds, skipped = _encode_corpus(part, vocab, model.config.m_len)
     if not encodeds:
         raise UsageError("no encodable samples in the selected split")
-    k_values = _float_list(args.k, "--k")
     reports = [predict(e, model, heads, k_percent=k_values[0]) for e in encodeds]
     write_reports_jsonl(reports, os.path.join(args.out, "predictions.jsonl"))
 
@@ -350,6 +367,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    k_percent = _percentages(args.k)[0]
     _echo_config(args)
     model, vocab, arrays, meta = _load_model(args.checkpoint)
     heads = _load_heads(model, arrays, meta)
@@ -359,8 +377,7 @@ def cmd_explain(args) -> int:
         raise UsageError(f"sample id {args.id!r} not found in corpus")
     sample = matching[0]
     encoded = encode(sample, vocab, model.config.m_len)
-    report = predict(encoded, model, heads,
-                     k_percent=_float_list(args.k, "--k")[0])
+    report = predict(encoded, model, heads, k_percent=k_percent)
     rows = metrics_mod.export_heatmap(report, sample.code)
     note = None
     if report.coarse_label == 0:
@@ -426,13 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_model_flags(p)
-    p.add_argument("--steps", type=int, default=300, help="masked-statement steps")
-    p.add_argument("--mlm-steps", type=int, default=0, help="token-level warm-up steps")
-    p.add_argument("--batch", type=int, default=4)
+    p.add_argument("--steps", type=_int_at_least(0), default=300,
+                   help="masked-statement steps")
+    p.add_argument("--mlm-steps", type=_int_at_least(0), default=0,
+                   help="token-level warm-up steps")
+    p.add_argument("--batch", type=_int_at_least(1), default=4)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--init-from", default=None, help="continue from a checkpoint")
     p.add_argument("--checkpoint-every", type=int, default=100)
-    p.add_argument("--max-decode-len", type=int, default=64)
+    p.add_argument("--max-decode-len", type=_int_at_least(1), default=64)
     p.add_argument("--sum-loss", action="store_true",
                    help="sum per-token losses instead of averaging")
     p.set_defaults(func=cmd_pretrain)
@@ -444,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="pretrained model to start from")
     _add_model_flags(p)
     _add_split_flags(p)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--epochs", type=_int_at_least(1), default=10)
+    p.add_argument("--batch", type=_int_at_least(1), default=8)
     p.add_argument("--lr", type=float, default=2e-3)
     p.add_argument("--lambda-fine", type=float, default=1.0)
     p.add_argument("--class-weights", default=None,

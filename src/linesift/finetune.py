@@ -10,7 +10,6 @@ are computed and ranked only when the coarse head fires.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -19,7 +18,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import OptimizerState, Tensor, adamw_step
 from .encoding import EncodedSample
-from .metrics import ConfusionCounts, classification_metrics, write_csv
+from .checkpoint import load_into
+from .metrics import ConfusionCounts, classification_metrics, prefix_size, write_csv
 from .model import HierarchicalModel, save_bundle
 from .pretrain import DivergenceError
 from .transformer import Mlp
@@ -32,6 +32,7 @@ __all__ = [
     "finetune_loss",
     "predict",
     "finetune_run",
+    "resume_optimizer",
 ]
 
 
@@ -69,8 +70,7 @@ def finetune_loss(
     heads: DetectionHeads,
     lambda_fine: float = 1.0,
     class_weights=None,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
+    training: bool = False,  # ignored; the benchmark's warm step still passes it
 ) -> tuple[Tensor, dict]:
     """Coarse CE over the batch plus lambda * fine CE over vulnerable samples.
 
@@ -81,7 +81,7 @@ def finetune_loss(
     """
     if not batch:
         raise ValueError("finetune_loss needs a non-empty batch")
-    encodings = model.encode_batch(batch, training, rng)
+    encodings = model.encode_batch(batch)
     coarse_rows = []
     fine_rows = []
     fine_targets: list[int] = []
@@ -152,8 +152,7 @@ def predict(
             {"line": encoded.orig_lines[i], "p_vul": float(probs[i])}
             for i in order
         ]
-        prefix = max(1, math.ceil(k_percent / 100.0 * encoded.L))
-        top_lines = [r["line"] for r in ranked[:prefix]]
+        top_lines = [r["line"] for r in ranked[:prefix_size(k_percent, encoded.L)]]
     return PredictionReport(
         id=encoded.id,
         p_vul=p_vul,
@@ -170,7 +169,6 @@ class FinetuneSchedule:
     epochs: int = 10
     batch_size: int = 8
     learning_rate: float = 2e-3
-    weight_decay: float = 0.01
     lambda_fine: float = 1.0
     seed: int = 0
     class_weights: tuple | None = None
@@ -195,6 +193,26 @@ def _coarse_f1(encodeds, model, heads) -> float:
     return classification_metrics(counts)["f1"]
 
 
+def _trained_parameters(model, heads, schedule) -> dict[str, Tensor]:
+    params = dict(heads.parameters())
+    if not schedule.freeze_encoder:
+        params.update(model.parameters())
+    return params
+
+
+def resume_optimizer(arrays: dict, t: int, model: HierarchicalModel,
+                     heads: DetectionHeads, schedule: FinetuneSchedule) -> OptimizerState:
+    """The AdamW state a "last" bundle saved: an ``opt.m.``/``opt.v.`` tensor
+    of each trained parameter's shape, or a ``CheckpointError`` naming it."""
+    params = _trained_parameters(model, heads, schedule)
+    moments = {}
+    for kind in ("m", "v"):
+        slots = {name: T.constant(p.data) for name, p in params.items()}
+        load_into(((f"opt.{kind}.{name}", slot) for name, slot in slots.items()), arrays)
+        moments[kind] = {name: slot.data for name, slot in slots.items()}
+    return OptimizerState(learning_rate=schedule.learning_rate, t=t, **moments)
+
+
 def finetune_run(
     train: list[EncodedSample],
     evaluation: list[EncodedSample],
@@ -216,13 +234,8 @@ def finetune_run(
     """
     if not train:
         raise ValueError("training split is empty")
-    params = dict(heads.parameters())
-    if not schedule.freeze_encoder:
-        params.update(model.parameters())
-    opt = optimizer or OptimizerState(
-        learning_rate=schedule.learning_rate,
-        weight_decay=schedule.weight_decay,
-    )
+    params = _trained_parameters(model, heads, schedule)
+    opt = optimizer or OptimizerState(learning_rate=schedule.learning_rate)
     if result is None:
         result = FinetuneResult()
 
@@ -244,10 +257,9 @@ def finetune_run(
 
     best_arrays: dict | None = None
     for epoch in range(start_epoch, schedule.epochs):
-        rng = np.random.default_rng(
+        order = np.random.default_rng(
             np.random.SeedSequence([schedule.seed, 0xF17E, epoch])
-        )
-        order = rng.permutation(len(train))
+        ).permutation(len(train))
         for step, start in enumerate(range(0, len(order), schedule.batch_size)):
             batch = [train[i] for i in order[start:start + schedule.batch_size]]
             for p in params.values():
@@ -256,8 +268,6 @@ def finetune_run(
                 batch, model, heads,
                 lambda_fine=schedule.lambda_fine,
                 class_weights=schedule.class_weights,
-                training=True,
-                rng=rng,
             )
             value = loss.item()
             if not np.isfinite(value):

@@ -18,6 +18,7 @@ __all__ = [
     "ConfusionCounts",
     "LocalizationRecord",
     "classification_metrics",
+    "prefix_size",
     "topk_accuracy",
     "sweep_topk",
     "write_csv",
@@ -94,7 +95,8 @@ class LocalizationRecord:
     total_lines: int               # retained line count L
 
 
-def _prefix_size(k_percent: float, total_lines: int) -> int:
+def prefix_size(k_percent: float, total_lines: int) -> int:
+    """How many ranked lines Top-k% keeps: max(1, ceil(k% * L))."""
     return max(1, math.ceil(k_percent / 100.0 * total_lines))
 
 
@@ -116,7 +118,7 @@ def topk_accuracy(records: list[LocalizationRecord], k_percent: float,
             excluded += 1
             continue
         evaluated += 1
-        prefix = set(rec.ranked[: _prefix_size(k_percent, rec.total_lines)])
+        prefix = set(rec.ranked[: prefix_size(k_percent, rec.total_lines)])
         if prefix & rec.truth:
             hits += 1
     accuracy = hits / evaluated if evaluated else 0.0

@@ -55,13 +55,17 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         # bundles written before these options were removed carry their keys
-        for key, only in (("program_pool", "summary"), ("attn_pool_dim", None)):
-            if d.get(key, only) != only:
+        encoder = dict(d["encoder"])
+        for found, key, only in ((d, "program_pool", "summary"),
+                                 (d, "attn_pool_dim", None),
+                                 (encoder, "dropout", 0.0)):
+            if found.get(key, only) != only:
                 raise BundleConfigError(
-                    f"{key} {d[key]!r} is not supported; only {only!r} is"
+                    f"{key} {found[key]!r} is not supported; only {only!r} is"
                 )
+        encoder.pop("dropout", None)
         return cls(
-            encoder=EncoderConfig(**d["encoder"]),
+            encoder=EncoderConfig(**encoder),
             m_len=d["m_len"],
             t2s=d["t2s"],
         )
@@ -98,41 +102,26 @@ class HierarchicalModel:
 
     # -- forward --------------------------------------------------------------
 
-    def encode_tokens(
-        self,
-        encoded: EncodedSample,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
+    def encode_tokens(self, encoded: EncodedSample) -> Tensor:
         """Per-segment token encoding merged back into one [n x d] matrix."""
         self._check_caps(encoded)
         pieces = [
-            self.token_encoder.forward(encoded.token_ids[s:e], training, rng)
+            self.token_encoder.forward(encoded.token_ids[s:e])
             for s, e in encoded.segment_boundaries
         ]
         if len(pieces) == 1:
             return pieces[0]
         return T.concat_rows(pieces)
 
-    def encode_program(
-        self,
-        encoded: EncodedSample,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, Tensor]:
+    def encode_program(self, encoded: EncodedSample) -> tuple[Tensor, Tensor]:
         """Full pipeline; returns (program_vector [1 x d], statement_vectors [L x d])."""
-        merged = self.encode_tokens(encoded, training, rng)
+        merged = self.encode_tokens(encoded)
         initial = self.pool.apply(merged, encoded.line_spans)
-        return self.statement_encoder.forward(initial, training, rng)
+        return self.statement_encoder.forward(initial)
 
-    def encode_batch(
-        self,
-        encodeds: list[EncodedSample],
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> list[tuple[Tensor, Tensor]]:
+    def encode_batch(self, encodeds: list[EncodedSample]) -> list[tuple[Tensor, Tensor]]:
         """``encode_program`` over each sample in order."""
-        return [self.encode_program(e, training, rng) for e in encodeds]
+        return [self.encode_program(e) for e in encodeds]
 
     def _check_caps(self, encoded: EncodedSample) -> None:
         if encoded.n > self.config.m_len:

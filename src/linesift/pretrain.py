@@ -197,12 +197,10 @@ def msp_loss(
     model: HierarchicalModel,
     decoder: MspDecoder,
     per_token_mean: bool = False,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, dict]:
     """Reconstruction loss of every selected statement from its vector."""
     masked = apply_mask_plan(encoded, plan)
-    _, statements = model.encode_program(masked, training, rng)
+    _, statements = model.encode_program(masked)
     vectors = T.gather_rows(statements, [line.line_index for line in plan.lines])
     total, tokens, truncated_lines = decoder.sequence_loss(
         vectors, [line.original_ids for line in plan.lines],
@@ -232,8 +230,6 @@ def mlm_loss(
     model: HierarchicalModel,
     head: MlmHead,
     seed: int,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> tuple[Tensor | None, dict]:
     """Token-level masking (15%, 80/10/10 per token) over the token encoder.
 
@@ -258,7 +254,7 @@ def mlm_loss(
         elif draw < 0.9:
             ids[pos] = int(gen.integers(n_reserved, vocab_size))
     masked = encoded.with_token_ids(ids)
-    token_vectors = model.encode_tokens(masked, training, rng)
+    token_vectors = model.encode_tokens(masked)
     picked = T.gather_rows(token_vectors, positions)
     loss = T.cross_entropy(head.logits(picked), originals)
     return loss, {"masked": int(count), "skipped": False}
@@ -273,7 +269,6 @@ class PretrainSchedule:
     msp_steps: int = 0
     batch_size: int = 4
     learning_rate: float = 1e-3
-    weight_decay: float = 0.01
     seed: int = 0
     checkpoint_every: int = 100
     per_token_mean: bool = True
@@ -334,10 +329,7 @@ def pretrain_run(
         else:
             params = model.parameters()
             params.update(dict(decoder.parameters()))
-        opt = OptimizerState(
-            learning_rate=schedule.learning_rate,
-            weight_decay=schedule.weight_decay,
-        )
+        opt = OptimizerState(learning_rate=schedule.learning_rate)
         state.optimizer = opt
         for step in range(steps):
             rng = np.random.default_rng(

@@ -528,7 +528,7 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only in training mode with rate > 0."""
+    """Inverted dropout. No model uses it; the benchmark tracer still wraps it by name."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
     if rate == 0.0:

@@ -33,7 +33,6 @@ class EncoderConfig:
     heads: int = 4
     ffn_hidden: int = 256
     max_positions: int = 512
-    dropout: float = 0.0
     vocab_size: int = 0
 
     def __post_init__(self):
@@ -120,25 +119,13 @@ class EncoderStack:
         for i, layer in enumerate(self.layers):
             yield from layer.parameters(f"{prefix}.layer{i}")
 
-    def forward(
-        self,
-        H: Tensor,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        attention_sink: list | None = None,
-    ) -> Tensor:
-        drop = self.cfg.dropout if training else 0.0
+    def forward(self, H: Tensor, attention_sink: list | None = None) -> Tensor:
         for layer in self.layers:
             mixed = T.multi_head_attention(
                 H, layer.wqkv, self.cfg.heads, attention_sink
             ) @ layer.wo
-            if drop > 0.0:
-                mixed = T.dropout(mixed, drop, rng)
             G = T.layer_norm(H + mixed, layer.ln1_gain, layer.ln1_bias)
-            ff = layer.ffn(G)
-            if drop > 0.0:
-                ff = T.dropout(ff, drop, rng)
-            H = T.layer_norm(G + ff, layer.ln2_gain, layer.ln2_bias)
+            H = T.layer_norm(G + layer.ffn(G), layer.ln2_gain, layer.ln2_bias)
         return H
 
 
@@ -158,13 +145,7 @@ class TokenEncoder:
         yield f"{prefix}.pos_emb", self.pos_emb
         yield from self.stack.parameters(prefix)
 
-    def forward(
-        self,
-        token_ids,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        attention_sink: list | None = None,
-    ) -> Tensor:
+    def forward(self, token_ids, attention_sink: list | None = None) -> Tensor:
         ids = np.asarray(token_ids, dtype=np.int64)
         n = ids.shape[0]
         if n > self.cfg.max_positions:
@@ -172,7 +153,7 @@ class TokenEncoder:
                 f"segment of {n} tokens exceeds capacity {self.cfg.max_positions}"
             )
         H = T.embedding_lookup(self.tok_emb, ids) + self.pos_emb.rows(0, n)
-        return self.stack.forward(H, training, rng, attention_sink)
+        return self.stack.forward(H, attention_sink)
 
     def attention_maps(self, token_ids) -> list[list[np.ndarray]]:
         """Post-softmax attention matrices, indexed [layer][head]."""
@@ -195,12 +176,7 @@ class StatementEncoder:
         yield f"{prefix}.summary", self.summary
         yield from self.stack.parameters(prefix)
 
-    def forward(
-        self,
-        statement_inputs: Tensor,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, Tensor]:
+    def forward(self, statement_inputs: Tensor) -> tuple[Tensor, Tensor]:
         L = statement_inputs.shape[0]
         if not (1 <= L <= self.cfg.max_positions):
             raise ValueError(
@@ -210,5 +186,5 @@ class StatementEncoder:
             self.summary,
             statement_inputs + self.pos_emb.rows(0, L),
         ])
-        H = self.stack.forward(X, training, rng)
+        H = self.stack.forward(X)
         return H.rows(0, 1), H.rows(1, L + 1)

@@ -36,6 +36,37 @@ def finetuned(tmp_path_factory, corpus_path):
     return str(out)
 
 
+def add_zero_dropout(bundle):
+    """Give a bundle's encoder config the key that bundles written while
+    the encoder had a dropout option carry."""
+    path = bundle / "config.json"
+    payload = json.loads(path.read_text())
+    assert "dropout" not in payload["model"]["encoder"]
+    payload["model"]["encoder"]["dropout"] = 0.0
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("evaluate", "--k", "0"), ("evaluate", "--k", "150"), ("evaluate", "--k", "-5"),
+    ("evaluate", "--k", "nan"), ("evaluate", "--k", "2,inf"), ("explain", "--k", "0"),
+    ("finetune", "--batch", "0"), ("finetune", "--epochs", "0"),
+    ("finetune", "--class-weights", "1"), ("finetune", "--class-weights", "a,b"),
+    ("finetune", "--class-weights", "1,2,3"), ("finetune", "--class-weights", "1,0"),
+    ("finetune", "--class-weights", "1,nan"), ("pretrain", "--batch", "0"),
+    ("pretrain", "--steps", "-3"), ("pretrain", "--mlm-steps", "-1"),
+])
+def test_bad_numeric_flag_exits_2_before_any_input_is_read(tmp_path, capsys,
+                                                           command, flag, value):
+    missing = str(tmp_path / "missing")  # reading it would fail with another message
+    argv = [command, "--corpus", missing, "--out", str(tmp_path / "o"), flag, value]
+    if command in ("evaluate", "explain"):
+        argv += ["--checkpoint", missing]
+    if command == "explain":
+        argv += ["--id", "x"]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err.strip().splitlines()[-1]
+
+
 class TestConvert:
     def test_convert_then_load(self, tmp_path):
         csv_path = tmp_path / "in.csv"
@@ -183,6 +214,35 @@ class TestFinetuneCommand:
 
         self._check_resume(tmp_path, corpus_path, per_head_last)
 
+    def test_resume_from_dropout_keyed_last_matches_uninterrupted(self, tmp_path,
+                                                                  corpus_path):
+        self._check_resume(tmp_path, corpus_path,
+                           lambda parted: add_zero_dropout(parted / "last"))
+
+    @pytest.mark.parametrize("edit, named", [
+        ("misshape_m", "opt.m.te.layer0.wo"),
+        ("drop_v", "opt.v.se.layer1.wo"),
+        ("drop_m_and_v", "opt.m.se.layer1.wo"),
+    ])
+    def test_resume_with_bad_moment_exits_2(self, finetuned, corpus_path, tmp_path,
+                                            capsys, edit, named):
+        out = tmp_path / "ft"
+        shutil.copytree(finetuned, out)
+        last = str(out / "last")
+        arrays = checkpoint.load_tensors(last)
+        if edit == "misshape_m":
+            arrays[named] = np.zeros((3, 3))
+        else:
+            del arrays["opt.v.se.layer1.wo"]
+            if edit == "drop_m_and_v":
+                del arrays["opt.m.se.layer1.wo"]
+        checkpoint.save_tensors(last, arrays)
+        code = main(["finetune", "--corpus", corpus_path, "--out", str(out),
+                     "--epochs", "9", "--batch", "6", "--lr", "3e-3", "--seed", "1",
+                     "--split", "0.6,0.2,0.2", "--vocab-size", "512", "--resume"])
+        assert code == 2
+        assert f"'{named}'" in capsys.readouterr().err
+
     def _check_resume(self, tmp_path, corpus_path, edit_last=None):
         # with this seed the best evaluation F1 comes in the first epoch, so
         # a resume that forgot it would pick a later one
@@ -294,6 +354,20 @@ class TestEvaluateCommand:
                      "--checkpoint", str(bundle), "--out", str(tmp_path / "ev")])
         assert code == 2
         assert str(blob) in capsys.readouterr().err
+
+    def test_bundle_with_zero_dropout_predicts_identically(self, finetuned,
+                                                           corpus_path, tmp_path):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(os.path.join(finetuned, "best"), bundle)
+        add_zero_dropout(bundle)
+        predictions = []
+        for tag, checkpoint_dir in (("now", os.path.join(finetuned, "best")),
+                                    ("keyed", str(bundle))):
+            out = tmp_path / tag
+            assert main(["evaluate", "--corpus", corpus_path, "--checkpoint",
+                         checkpoint_dir, "--out", str(out), "--split-part", "all"]) == 0
+            predictions.append((out / "predictions.jsonl").read_bytes())
+        assert predictions[0] == predictions[1]
 
     def test_checkpoint_without_heads_exits_2(self, corpus_path, tmp_path):
         pt = tmp_path / "pt"

@@ -185,6 +185,18 @@ class TestParametersAndBundles:
         with pytest.raises(BundleConfigError, match="attn_pool_dim"):
             load_bundle(str(tmp_path))
 
+    def test_bundle_with_zero_dropout_loads(self, tmp_path, model):
+        self._bundle_with_config(tmp_path, model, "encoder",
+                                 {**SMALL.encoder.to_dict(), "dropout": 0.0})
+        config, _, _, _ = load_bundle(str(tmp_path))
+        assert config.to_dict() == model.config.to_dict()
+
+    def test_bundle_with_nonzero_dropout_rejected(self, tmp_path, model):
+        self._bundle_with_config(tmp_path, model, "encoder",
+                                 {**SMALL.encoder.to_dict(), "dropout": 0.1})
+        with pytest.raises(BundleConfigError, match="dropout 0.1"):
+            load_bundle(str(tmp_path))
+
     def test_one_projection_tensor_per_attention_layer(self, tmp_path):
         cfg = ModelConfig(encoder=preset_config("desk-2x64x4", vocab_size=50))
         desk = HierarchicalModel(cfg, seed=0)
