@@ -134,14 +134,20 @@ def _class_weights(raw: str | None) -> tuple[float, float] | None:
     return tuple(values)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
-    def integer(raw: str) -> int:  # argparse names the type by this name
-        value = int(raw)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+def _bounded(cast, low, high=math.inf, open_low: bool = False):
+    """argparse type: a finite ``cast`` value (int or float) from ``low``
+    (excluded with ``open_low``) to ``high``."""
+    def number(raw: str):  # argparse names the type by this name
+        value = cast(raw)
+        # NaN fails every comparison
+        if not ((value > low if open_low else value >= low) and value <= high
+                and value != math.inf):
+            limit = f"{'above' if open_low else 'at least'} {low:g}"
+            if high < math.inf:
+                limit += f" and at most {high:g}"
+            raise argparse.ArgumentTypeError(f"must be a finite number {limit}, got {raw}")
         return value
-    return integer
+    return number
 
 
 def _split_three(args, samples):
@@ -264,6 +270,8 @@ def cmd_finetune(args) -> int:
         optimizer = resume_optimizer(arrays, int(meta.get("opt_t", 0)),
                                      model, heads, schedule)
         resumed = FinetuneResult(
+            loss_history=[tuple(row) for row in meta.get("loss_history", [])],
+            eval_history=[tuple(row) for row in meta.get("eval_history", [])],
             best_f1=float(meta.get("best_f1", float("-inf"))),
             best_epoch=int(meta.get("best_epoch", -1)),
         )
@@ -443,15 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_model_flags(p)
-    p.add_argument("--steps", type=_int_at_least(0), default=300,
+    p.add_argument("--steps", type=_bounded(int, 0), default=300,
                    help="masked-statement steps")
-    p.add_argument("--mlm-steps", type=_int_at_least(0), default=0,
+    p.add_argument("--mlm-steps", type=_bounded(int, 0), default=0,
                    help="token-level warm-up steps")
-    p.add_argument("--batch", type=_int_at_least(1), default=4)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch", type=_bounded(int, 1), default=4)
+    p.add_argument("--lr", type=_bounded(float, 0, open_low=True), default=1e-3)
     p.add_argument("--init-from", default=None, help="continue from a checkpoint")
-    p.add_argument("--checkpoint-every", type=int, default=100)
-    p.add_argument("--max-decode-len", type=_int_at_least(1), default=64)
+    p.add_argument("--checkpoint-every", type=_bounded(int, 0), default=100)
+    p.add_argument("--max-decode-len", type=_bounded(int, 1), default=64)
     p.add_argument("--sum-loss", action="store_true",
                    help="sum per-token losses instead of averaging")
     p.set_defaults(func=cmd_pretrain)
@@ -463,15 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="pretrained model to start from")
     _add_model_flags(p)
     _add_split_flags(p)
-    p.add_argument("--epochs", type=_int_at_least(1), default=10)
-    p.add_argument("--batch", type=_int_at_least(1), default=8)
-    p.add_argument("--lr", type=float, default=2e-3)
-    p.add_argument("--lambda-fine", type=float, default=1.0)
+    p.add_argument("--epochs", type=_bounded(int, 1), default=10)
+    p.add_argument("--batch", type=_bounded(int, 1), default=8)
+    p.add_argument("--lr", type=_bounded(float, 0, open_low=True), default=2e-3)
+    p.add_argument("--lambda-fine", type=_bounded(float, 0), default=1.0)
     p.add_argument("--class-weights", default=None,
                    help="comma pair, e.g. 1.0,16.3")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_bounded(float, 0, 1), default=0.5)
     p.add_argument("--freeze-encoder", action="store_true")
-    p.add_argument("--early-stop", type=int, default=None)
+    p.add_argument("--early-stop", type=_bounded(int, 1), default=None)
     p.add_argument("--resume", action="store_true",
                    help="continue from <out>/last")
     p.set_defaults(func=cmd_finetune)

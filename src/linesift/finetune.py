@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .encoding import EncodedSample
 from .checkpoint import load_into
 from .metrics import ConfusionCounts, classification_metrics, prefix_size, write_csv
 from .model import HierarchicalModel, save_bundle
+from .parallel import backward_sum, map_ordered
 from .pretrain import DivergenceError
 from .transformer import Mlp
 
@@ -29,6 +31,7 @@ __all__ = [
     "PredictionReport",
     "FinetuneSchedule",
     "FinetuneResult",
+    "sample_losses",
     "finetune_loss",
     "predict",
     "finetune_run",
@@ -64,6 +67,32 @@ class DetectionHeads:
         return T.softmax_rows(self.fine_logits_raw(statement_vectors))
 
 
+def sample_losses(batch: list[EncodedSample], model: HierarchicalModel,
+                  heads: DetectionHeads, lambda_fine: float = 1.0,
+                  class_weights=None) -> list:
+    """The batch loss as one term per sample, to be summed in batch order:
+    zero-argument callables that each build their sample's term.
+
+    Both denominators, the sum of the labels' class weights (coarse CE) and
+    the statement rows of the vulnerable samples (fine CE), depend only on
+    the labels, so each sample's share is known before any forward pass.
+    """
+    weights = np.ones(2) if class_weights is None else np.asarray(class_weights, float)
+    coarse_sum = sum(weights[enc.label] for enc in batch)
+    fine_rows = sum(enc.L for enc in batch if enc.label == 1)
+
+    def term(enc: EncodedSample) -> Tensor:
+        program, statements = model.encode_program(enc)
+        coarse = T.cross_entropy(heads.coarse_logits_raw(program), [enc.label])
+        loss = T.scale(coarse, weights[enc.label] / coarse_sum)
+        if enc.label == 1 and lambda_fine != 0.0:
+            fine = T.cross_entropy(heads.fine_logits_raw(statements), enc.vul_flags)
+            loss = loss + T.scale(fine, lambda_fine * enc.L / fine_rows)
+        return loss
+
+    return [partial(term, enc) for enc in batch]
+
+
 def finetune_loss(
     batch: list[EncodedSample],
     model: HierarchicalModel,
@@ -72,7 +101,8 @@ def finetune_loss(
     class_weights=None,
     training: bool = False,  # ignored; the benchmark's warm step still passes it
 ) -> tuple[Tensor, dict]:
-    """Coarse CE over the batch plus lambda * fine CE over vulnerable samples.
+    """Coarse CE over the batch plus lambda * fine CE over vulnerable samples,
+    as one graph: the sum of ``sample_losses``' terms in batch order.
 
     The fine term is the mean per-statement cross-entropy over the retained
     statements of all label==1 samples in the batch (target 1 on labeled
@@ -81,24 +111,10 @@ def finetune_loss(
     """
     if not batch:
         raise ValueError("finetune_loss needs a non-empty batch")
-    encodings = model.encode_batch(batch)
-    coarse_rows = []
-    fine_rows = []
-    fine_targets: list[int] = []
-    for enc, (program, statements) in zip(batch, encodings):
-        coarse_rows.append(heads.coarse_logits_raw(program))
-        if enc.label == 1:
-            fine_rows.append(heads.fine_logits_raw(statements))
-            fine_targets.extend(int(v) for v in enc.vul_flags)
-    coarse_logits = T.concat_rows(coarse_rows)
-    coarse_ce = T.cross_entropy(
-        coarse_logits, [enc.label for enc in batch], class_weights
-    )
-    info = {"coarse_rows": len(batch), "fine_rows": len(fine_targets)}
-    if fine_rows and lambda_fine != 0.0:
-        fine_ce = T.cross_entropy(T.concat_rows(fine_rows), fine_targets)
-        return coarse_ce + T.scale(fine_ce, lambda_fine), info
-    return coarse_ce, info
+    terms = sample_losses(batch, model, heads, lambda_fine, class_weights)
+    info = {"coarse_rows": len(batch),
+            "fine_rows": sum(enc.L for enc in batch if enc.label == 1)}
+    return reduce(T.add, [build() for build in terms]), info
 
 
 @dataclass
@@ -188,7 +204,8 @@ class FinetuneResult:
 def _coarse_f1(encodeds, model, heads) -> float:
     counts = ConfusionCounts.from_predictions(
         [enc.label for enc in encodeds],
-        [predict(enc, model, heads).coarse_label for enc in encodeds],
+        map_ordered(lambda enc: predict(enc, model, heads).coarse_label, encodeds,
+                    sum(enc.n for enc in encodeds)),
     )
     return classification_metrics(counts)["f1"]
 
@@ -228,9 +245,11 @@ def finetune_run(
     """Epoch loop with evaluation-split F1 tracking and best-checkpoint keep.
 
     Batch order is a pure function of (seed, epoch), and the "last"
-    checkpoint stores the optimizer moments and the best F1 and epoch so
-    far, so a resumed run (passing them back as ``optimizer`` and
-    ``result``) reproduces an uninterrupted one step for step.
+    checkpoint stores the optimizer moments, the best F1 and epoch so far
+    and the loss and evaluation histories, so a resumed run (passing them
+    back as ``optimizer`` and ``result``) reproduces an uninterrupted one
+    step for step, ``loss.csv`` and ``eval.csv`` included. Each step runs
+    its samples one at a time on the pool (``parallel.backward_sum``).
     """
     if not train:
         raise ValueError("training split is empty")
@@ -264,18 +283,16 @@ def finetune_run(
             batch = [train[i] for i in order[start:start + schedule.batch_size]]
             for p in params.values():
                 p.zero_grad()
-            loss, _ = finetune_loss(
-                batch, model, heads,
-                lambda_fine=schedule.lambda_fine,
-                class_weights=schedule.class_weights,
+            value = backward_sum(
+                sample_losses(batch, model, heads, schedule.lambda_fine,
+                              schedule.class_weights),
+                params, sum(enc.n for enc in batch),
             )
-            value = loss.item()
             if not np.isfinite(value):
                 raise DivergenceError(
                     f"fine-tuning loss became non-finite at epoch {epoch}, "
                     f"step {step}"
                 )
-            loss.backward()
             adamw_step(params, opt)
             result.loss_history.append((epoch, step, value))
         f1 = _coarse_f1(evaluation, model, heads) if evaluation else float("nan")
@@ -289,6 +306,8 @@ def finetune_run(
         save("last", True, {"epoch": epoch + 1, "opt_t": opt.t,
                             "best_f1": result.best_f1,
                             "best_epoch": result.best_epoch,
+                            "loss_history": result.loss_history,
+                            "eval_history": result.eval_history,
                             "threshold": heads.threshold})
         if (
             schedule.early_stop_patience is not None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .tensor import OptimizerState, Tensor, adamw_step
 from .encoding import BOS, EOS, MASK, RESERVED_TOKENS, EncodedSample
 from .metrics import write_csv
 from .model import HierarchicalModel, save_bundle
+from .parallel import backward_sum
 from .transformer import Mlp
 
 __all__ = [
@@ -38,6 +40,8 @@ __all__ = [
     "apply_mask_plan",
     "msp_loss",
     "mlm_loss",
+    "mlm_skips",
+    "sample_losses",
     "pretrain_run",
 ]
 
@@ -225,6 +229,12 @@ class MlmHead:
         return self.mlp(token_vectors)
 
 
+def mlm_skips(encoded: EncodedSample) -> bool:
+    """Whether the sample has no maskable token (the leading [CLS] is never
+    masked), so that MLM skips it."""
+    return encoded.n < 2
+
+
 def mlm_loss(
     encoded: EncodedSample,
     model: HierarchicalModel,
@@ -236,10 +246,10 @@ def mlm_loss(
     Returns (loss, info); loss is None when the sample has no maskable
     token, which callers should count and skip.
     """
-    n = encoded.n
-    maskable = n - 1  # the leading [CLS] is never masked
-    if maskable < 1:
+    if mlm_skips(encoded):
         return None, {"masked": 0, "skipped": True}
+    n = encoded.n
+    maskable = n - 1
     vocab_size = model.config.encoder.vocab_size
     n_reserved = len(RESERVED_TOKENS)
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0x313A]))
@@ -261,6 +271,27 @@ def mlm_loss(
 
 
 # -- training loop ---------------------------------------------------------
+
+
+def sample_losses(phase: str, batch: list[tuple[EncodedSample, int]],
+                  model: HierarchicalModel, decoder: MspDecoder, mlm_head: MlmHead,
+                  per_token_mean: bool = True) -> list:
+    """A step's loss as one term per used (sample, seed), to be summed in
+    batch order: zero-argument callables that each build their sample's
+    ``phase`` loss divided by the number of used samples. MLM skips a sample
+    (``mlm_skips``) before any forward pass, so that number is known up front.
+    """
+    used = [(enc, seed) for enc, seed in batch if phase == "msp" or not mlm_skips(enc)]
+
+    def term(enc: EncodedSample, seed: int) -> Tensor:
+        if phase == "msp":
+            plan = make_mask_plan(enc, model.config.encoder.vocab_size, seed)
+            loss, _ = msp_loss(enc, plan, model, decoder, per_token_mean=per_token_mean)
+        else:
+            loss, _ = mlm_loss(enc, model, mlm_head, seed)
+        return T.scale(loss, 1.0 / len(used))
+
+    return [partial(term, enc, seed) for enc, seed in used]
 
 
 @dataclass
@@ -300,7 +331,6 @@ def pretrain_run(
     if not encodeds:
         raise ValueError("pretraining corpus is empty")
     state = TrainState(seed=schedule.seed)
-    vocab_size = model.config.encoder.vocab_size
 
     def all_arrays():
         arrays = model.state_arrays()
@@ -340,40 +370,24 @@ def pretrain_run(
                 size=min(schedule.batch_size, len(encodeds)),
                 replace=False,
             )
+            batch = [
+                (encodeds[int(idx)], int(np.random.SeedSequence(
+                    [schedule.seed, phase_tag, step, j]).generate_state(1)[0]))
+                for j, idx in enumerate(batch_idx)
+            ]
+            losses = sample_losses(phase, batch, model, decoder, mlm_head,
+                                   schedule.per_token_mean)
+            state.skipped_samples += len(batch) - len(losses)
+            if not losses:
+                continue
             for p in params.values():
                 p.zero_grad()
-            total: Tensor | None = None
-            used = 0
-            for j, idx in enumerate(batch_idx):
-                enc = encodeds[int(idx)]
-                sample_seed = int(
-                    np.random.SeedSequence(
-                        [schedule.seed, phase_tag, step, j]
-                    ).generate_state(1)[0]
-                )
-                if phase == "msp":
-                    plan = make_mask_plan(enc, vocab_size, sample_seed)
-                    loss, _ = msp_loss(
-                        enc, plan, model, decoder,
-                        per_token_mean=schedule.per_token_mean,
-                    )
-                else:
-                    loss, info = mlm_loss(enc, model, mlm_head, sample_seed)
-                    if loss is None:
-                        state.skipped_samples += 1
-                        continue
-                total = loss if total is None else total + loss
-                used += 1
-            if total is None:
-                continue
-            batch_loss = T.scale(total, 1.0 / used)
-            value = batch_loss.item()
+            value = backward_sum(losses, params, sum(enc.n for enc, _ in batch))
             if not np.isfinite(value):
                 # leave the last periodic checkpoint as the recovery point
                 raise DivergenceError(
                     f"{phase} loss became non-finite at step {state.step}"
                 )
-            batch_loss.backward()
             adamw_step(params, opt)
             state.step += 1
             state.loss_history.append((state.step, phase, value))

@@ -137,12 +137,14 @@ class Tensor:
 
     # -- reverse-mode traversal ----------------------------------------------
 
-    def backward(self) -> None:
+    def backward(self, into: dict | None = None) -> None:
         """Populate ``.grad`` on every reachable requires_grad leaf.
 
         The loss must be scalar. Gradients computed by this call are added
         into any gradients already stored on the leaves; interior nodes get
-        no ``.grad``.
+        no ``.grad``. With ``into``, a dict keyed by leaf, each leaf's
+        gradient is added into ``into[leaf]`` instead and no ``.grad`` is
+        touched, so that graphs on other threads can share the leaves.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -159,7 +161,12 @@ class Tensor:
             if node.requires_grad and node._backward is None and id(node) in grads:
                 # the map owns each array (see _accumulate), so no copy
                 piece = grads[id(node)]
-                if node.grad is None:
+                if into is not None:
+                    if node in into:
+                        into[node] += piece
+                    else:
+                        into[node] = piece
+                elif node.grad is None:
                     node.grad = piece
                 else:
                     node.grad += piece
@@ -186,17 +193,20 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _accumulate(grads: dict[int, np.ndarray], node: Tensor, piece: np.ndarray) -> None:
+def _accumulate(grads: dict[int, np.ndarray], node: Tensor, piece: np.ndarray,
+                alias: bool = False) -> None:
+    """Add ``piece`` into ``node``'s gradient. The map keeps a fresh piece as
+    is and mutates it with later ``+=`` contributions; a piece that is (a
+    view of) an array held elsewhere, such as the upstream gradient that
+    ``add`` passes to both parents, must come with ``alias`` so that it is
+    copied first."""
     if not node.requires_grad:
         return
     key = id(node)
     if key in grads:
         grads[key] += piece
     else:
-        # Always copy: `piece` may alias the upstream gradient (add passes
-        # the same array to both parents) and the map entry is mutated by
-        # later `+=` contributions.
-        grads[key] = np.array(piece, dtype=np.float64)
+        grads[key] = np.array(piece, dtype=np.float64) if alias else piece
 
 
 class _GradMode(threading.local):
@@ -245,12 +255,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum. ``b`` may be a vector broadcast over ``a``'s rows."""
     if a.shape == b.shape:
         def back(g, grads):
-            _accumulate(grads, a, g)
-            _accumulate(grads, b, g)
+            _accumulate(grads, a, g, alias=True)
+            _accumulate(grads, b, g, alias=True)
         return _result(a.data + b.data, (a, b), back)
     if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
         def back(g, grads):
-            _accumulate(grads, a, g)
+            _accumulate(grads, a, g, alias=True)
             _accumulate(grads, b, g.sum(axis=0))
         return _result(a.data + b.data, (a, b), back)
     raise ShapeMismatch(f"add: incompatible shapes {a.shape} and {b.shape}")
@@ -300,7 +310,7 @@ def transpose(a: Tensor) -> Tensor:
         raise ShapeMismatch(f"transpose: expects a 2-D tensor, got {a.shape}")
 
     def back(g, grads):
-        _accumulate(grads, a, g.T)
+        _accumulate(grads, a, g.T, alias=True)
 
     return _result(np.ascontiguousarray(a.data.T), (a,), back)
 
@@ -309,7 +319,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
 
     def back(g, grads):
-        _accumulate(grads, a, g.reshape(a.shape))
+        _accumulate(grads, a, g.reshape(a.shape), alias=True)
 
     return _result(a.data.reshape(shape), (a,), back)
 
@@ -339,7 +349,7 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     def back(g, grads):
         offset = 0
         for p, size in zip(parts, sizes):
-            _accumulate(grads, p, g[offset:offset + size])
+            _accumulate(grads, p, g[offset:offset + size], alias=True)
             offset += size
 
     return _result(np.concatenate([p.data for p in parts], axis=0),
@@ -355,7 +365,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     def back(g, grads):
         offset = 0
         for p, width in zip(parts, widths):
-            _accumulate(grads, p, g[:, offset:offset + width])
+            _accumulate(grads, p, g[:, offset:offset + width], alias=True)
             offset += width
 
     return _result(np.concatenate([p.data for p in parts], axis=1),

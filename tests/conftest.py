@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from linesift import parallel
 from linesift.encoding import CLS, EncodedSample, RESERVED_TOKENS
 
 
@@ -52,6 +53,26 @@ def finite_difference_failures(
             if abs(analytic - numeric) > rtol * max(abs(analytic), abs(numeric)) + atol:
                 failures.append((name, flat, analytic, numeric))
     return failures
+
+
+def gradients_after(params, run):
+    """Zero ``params``' grads, call ``run`` (which leaves gradients in
+    ``.grad`` and returns the loss value), and return (value, {name: a copy
+    of the gradient, or None})."""
+    for p in params.values():
+        p.zero_grad()
+    value = run()
+    return value, {name: None if p.grad is None else p.grad.copy()
+                   for name, p in params.items()}
+
+
+def assert_same_gradients(expected, actual, atol):
+    """Both maps hold a gradient for the same names, each within ``atol``."""
+    assert {k for k, g in actual.items() if g is None} \
+        == {k for k, g in expected.items() if g is None}
+    for name, g in expected.items():
+        if g is not None:
+            assert np.max(np.abs(actual[name] - g)) <= atol, name
 
 
 def make_encoded(
@@ -106,6 +127,12 @@ def per_head_names(arrays, heads):
             kind, h = divmod(i, heads)
             out[f"{layer}.head{h}.w{'qkv'[kind]}"] = block
     return out
+
+
+@pytest.fixture
+def pool_for_any_size(monkeypatch):
+    """Let the test's short samples go to the worker pool too."""
+    monkeypatch.setattr(parallel, "MIN_TOKENS", 0)
 
 
 @pytest.fixture

@@ -54,6 +54,13 @@ def add_zero_dropout(bundle):
     ("finetune", "--class-weights", "1,2,3"), ("finetune", "--class-weights", "1,0"),
     ("finetune", "--class-weights", "1,nan"), ("pretrain", "--batch", "0"),
     ("pretrain", "--steps", "-3"), ("pretrain", "--mlm-steps", "-1"),
+    ("finetune", "--early-stop", "0"), ("finetune", "--early-stop", "-1"),
+    ("pretrain", "--checkpoint-every", "-2"),
+    ("finetune", "--lr", "nan"), ("finetune", "--lr", "0"), ("finetune", "--lr", "-1e-3"),
+    ("finetune", "--lr", "inf"), ("pretrain", "--lr", "nan"), ("pretrain", "--lr", "0"),
+    ("finetune", "--lambda-fine", "nan"), ("finetune", "--lambda-fine", "-0.5"),
+    ("finetune", "--lambda-fine", "inf"), ("finetune", "--threshold", "nan"),
+    ("finetune", "--threshold", "-0.1"), ("finetune", "--threshold", "1.5"),
 ])
 def test_bad_numeric_flag_exits_2_before_any_input_is_read(tmp_path, capsys,
                                                            command, flag, value):
@@ -270,6 +277,9 @@ class TestFinetuneCommand:
             full_losses = read_epoch(full / "loss.csv", epoch)
             resumed_losses = read_epoch(parted / "loss.csv", epoch)
             assert full_losses and full_losses == resumed_losses
+        # the histories from before the resume are kept
+        for name in ("loss.csv", "eval.csv"):
+            assert (parted / name).read_bytes() == (full / name).read_bytes(), name
 
         # the best epoch survives the resume: same best/ bundle, same report
         _, full_arrays, _, full_meta = load_bundle(str(full / "best"))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_encoded
+from conftest import assert_same_gradients, gradients_after, make_encoded
+from linesift import parallel
 from linesift import tensor as T
 from linesift.corpus import synthesize_corpus
 from linesift.encoding import build_vocab, encode
@@ -13,6 +14,7 @@ from linesift.finetune import (
     finetune_loss,
     finetune_run,
     predict,
+    sample_losses,
 )
 from linesift.model import HierarchicalModel, ModelConfig
 from linesift.transformer import EncoderConfig
@@ -224,6 +226,65 @@ class TestPredict:
             previous = positives
 
 
+def concat_rows_loss(batch, model, heads, lambda_fine, class_weights=None):
+    """The batch loss as one graph over concatenated logit rows: the oracle
+    for the sum of per-sample terms."""
+    coarse_rows, fine_rows, fine_targets = [], [], []
+    for enc in batch:
+        program, statements = model.encode_program(enc)
+        coarse_rows.append(heads.coarse_logits_raw(program))
+        if enc.label == 1:
+            fine_rows.append(heads.fine_logits_raw(statements))
+            fine_targets.extend(int(v) for v in enc.vul_flags)
+    loss = T.cross_entropy(T.concat_rows(coarse_rows), [enc.label for enc in batch],
+                           class_weights)
+    if fine_rows and lambda_fine != 0.0:
+        fine = T.cross_entropy(T.concat_rows(fine_rows), fine_targets)
+        loss = loss + T.scale(fine, lambda_fine)
+    return loss
+
+
+class TestPerSampleTerms:
+    @pytest.mark.parametrize("lambda_fine, class_weights, labels", [
+        (0.5, (1.0, 3.0), (1, 0, 1, 0)),
+        (0.0, None, (1, 0, 1, 0)),
+        (0.5, None, (0, 1, 1, 0)),
+        (0.5, (1.0, 3.0), (0, 0, 0)),
+    ], ids=["class_weights", "lambda_0", "lambda_half", "all_negative"])
+    def test_sum_matches_batched_graph(self, rng, model, heads, lambda_fine,
+                                       class_weights, labels, pool_for_any_size):
+        batch = [make_encoded(rng, 18 + 7 * i, vocab_size=VOCAB, label=label,
+                              sample_id=f"s{i}") for i, label in enumerate(labels)]
+        for enc in batch:
+            if enc.label == 1:
+                enc.vul_flags[0] = 1
+        params = model.parameters()
+        params.update(heads.parameters())
+
+        def oracle():
+            loss = concat_rows_loss(batch, model, heads, lambda_fine, class_weights)
+            loss.backward()
+            return loss.item()
+
+        def graph_sum():
+            loss, _ = finetune_loss(batch, model, heads, lambda_fine, class_weights)
+            loss.backward()
+            return loss.item()
+
+        def per_sample():
+            return parallel.backward_sum(
+                sample_losses(batch, model, heads, lambda_fine, class_weights), params,
+                sum(enc.n for enc in batch))
+
+        value, grads = gradients_after(params, oracle)
+        for run in (graph_sum, per_sample):
+            got, got_grads = gradients_after(params, run)
+            assert abs(got - value) <= 1e-12
+            assert_same_gradients(grads, got_grads, atol=1e-12)
+        if 1 not in labels or lambda_fine == 0.0:
+            assert all(grads[k] is None for k in grads if k.startswith("heads.stmt_"))
+
+
 class TestFinetuneRun:
     def make_inputs(self, n=16, seed=2):
         samples = synthesize_corpus(n, seed=21)
@@ -256,6 +317,22 @@ class TestFinetuneRun:
             result = finetune_run(encodeds, [], model, heads, schedule)
             histories.append(result.loss_history)
         assert histories[0] == histories[1]
+
+    def test_worker_count_changes_no_bit(self, monkeypatch, pool_for_any_size):
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cores", lambda cores=cores: cores)
+            encodeds, model, heads, _ = self.make_inputs(seed=4)
+            schedule = FinetuneSchedule(epochs=2, batch_size=5, learning_rate=1e-3,
+                                        seed=11, class_weights=(1.0, 2.0))
+            result = finetune_run(encodeds, encodeds[:6], model, heads, schedule)
+            weights = model.state_arrays()
+            weights.update({k: p.data for k, p in heads.parameters()})
+            runs.append((result.loss_history, result.eval_history, weights))
+        (losses, evals, weights), (losses2, evals2, weights2) = runs
+        assert losses == losses2 and evals == evals2
+        for name, value in weights.items():
+            assert np.array_equal(value, weights2[name]), name
 
     def test_overfits_separable_corpus(self):
         encodeds, model, heads, _ = self.make_inputs(n=16)

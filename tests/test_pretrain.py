@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import finite_difference_failures, make_encoded
+from conftest import (
+    assert_same_gradients,
+    finite_difference_failures,
+    gradients_after,
+    make_encoded,
+)
+from linesift import parallel
 from linesift import tensor as T
 from linesift.corpus import synthesize_corpus
 from linesift.encoding import (
@@ -30,6 +36,7 @@ from linesift.pretrain import (
     mlm_loss,
     msp_loss,
     pretrain_run,
+    sample_losses,
 )
 from linesift.transformer import EncoderConfig
 
@@ -305,15 +312,7 @@ class TestMlmLoss:
 
     def test_no_maskable_tokens_skipped(self, rng, model):
         head = MlmHead(TINY.encoder.hidden, 32, VOCAB, rng)
-        lonely = EncodedSample(
-            id="cls-only",
-            token_ids=np.array([2], dtype=np.int64),
-            line_spans=[],
-            orig_lines=[],
-            label=0,
-            vul_flags=np.zeros(0, dtype=np.int64),
-        )
-        loss, info = mlm_loss(lonely, model, head, seed=0)
+        loss, info = mlm_loss(cls_only_sample(), model, head, seed=0)
         assert loss is None and info["skipped"]
 
     def test_deterministic(self, rng, model):
@@ -340,6 +339,61 @@ class TestMlmLoss:
                                               elements_per_tensor=1,
                                               head_dim=TINY.encoder.head_dim)
         assert failures == []
+
+
+def cls_only_sample():
+    return EncodedSample(
+        id="cls-only",
+        token_ids=np.array([2], dtype=np.int64),
+        line_spans=[],
+        orig_lines=[],
+        label=0,
+        vul_flags=np.zeros(0, dtype=np.int64),
+    )
+
+
+class TestPerSampleTerms:
+    @pytest.mark.parametrize("phase", ["mlm", "msp"])
+    def test_sum_matches_batched_graph(self, rng, model, decoder, phase,
+                                       pool_for_any_size):
+        head = MlmHead(TINY.encoder.hidden, 32, VOCAB, rng)
+        batch = [(make_encoded(rng, 20 + 9 * i, vocab_size=VOCAB, sample_id=f"s{i}"),
+                  100 + i) for i in range(3)]
+        if phase == "mlm":
+            batch.insert(1, (cls_only_sample(), 7))  # skipped before any forward
+        params = model.parameters()
+        params.update(dict(decoder.parameters()))
+        params.update(dict(head.parameters()))
+
+        def oracle():
+            # one graph over the batch: the used samples' losses summed, then
+            # divided by their count
+            total, used = None, 0
+            for enc, seed in batch:
+                if phase == "msp":
+                    plan = make_mask_plan(enc, VOCAB, seed)
+                    loss, _ = msp_loss(enc, plan, model, decoder, per_token_mean=True)
+                else:
+                    loss, _ = mlm_loss(enc, model, head, seed)
+                    if loss is None:
+                        continue
+                total = loss if total is None else total + loss
+                used += 1
+            batch_loss = T.scale(total, 1.0 / used)
+            batch_loss.backward()
+            return batch_loss.item()
+
+        def per_sample():
+            losses = sample_losses(phase, batch, model, decoder, head,
+                                   per_token_mean=True)
+            assert len(losses) == 3
+            return parallel.backward_sum(losses, params,
+                                         sum(enc.n for enc, _ in batch))
+
+        value, grads = gradients_after(params, oracle)
+        got, got_grads = gradients_after(params, per_sample)
+        assert abs(got - value) <= 1e-12
+        assert_same_gradients(grads, got_grads, atol=1e-12)
 
 
 class TestPretrainRun:
@@ -381,6 +435,23 @@ class TestPretrainRun:
             state = pretrain_run(encodeds, model, decoder, head, schedule)
             traces.append(state.loss_history)
         assert traces[0] == traces[1]
+
+    def test_worker_count_changes_no_bit(self, monkeypatch, pool_for_any_size):
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cores", lambda cores=cores: cores)
+            encodeds, model, decoder, head, _ = self.make_inputs(seed=5)
+            schedule = PretrainSchedule(mlm_steps=2, msp_steps=2, batch_size=3,
+                                        learning_rate=1e-3, seed=3)
+            state = pretrain_run(encodeds, model, decoder, head, schedule)
+            weights = model.state_arrays()
+            for module in (decoder, head):
+                weights.update({k: p.data for k, p in module.parameters()})
+            runs.append((state.loss_history, weights))
+        (losses, weights), (losses2, weights2) = runs
+        assert losses == losses2
+        for name, value in weights.items():
+            assert np.array_equal(value, weights2[name]), name
 
     def test_mlm_phase_only_touches_token_encoder(self):
         encodeds, model, decoder, head, vocab = self.make_inputs()

@@ -211,6 +211,26 @@ class TestBackward:
         assert np.array_equal(x.grad, 2 * first_x)
         assert np.array_equal(w.grad, 2 * first_w)
 
+    def test_backward_into_map_leaves_grad_untouched(self, rng):
+        x = T.parameter(rng.normal(size=(3, 2)))
+        w = T.parameter(rng.normal(size=(2, 2)))
+        held = np.ones((2, 2))
+        w.grad = held.copy()
+
+        def loss():
+            return T.tanh(T.matmul(x, w)).sum() + T.mul(w, w).sum()
+
+        grads = {}
+        loss().backward(into=grads)
+        assert x.grad is None and np.array_equal(w.grad, held)
+        assert set(grads) == {x, w}
+        w.zero_grad()
+        loss().backward()
+        assert np.array_equal(grads[x], x.grad)
+        assert np.array_equal(grads[w], w.grad)
+        loss().backward(into=grads)  # a second call adds into the map
+        assert np.array_equal(grads[w], 2 * w.grad)
+
     def test_every_reachable_param_gets_matching_grad(self, rng):
         a = T.parameter(rng.normal(size=(4, 3)))
         b = T.parameter(rng.normal(size=(3, 2)))
