@@ -27,6 +27,7 @@ from .finetune import (
     FinetuneSchedule,
     finetune_run,
     predict,
+    read_histories,
     resume_optimizer,
     write_reports_jsonl,
 )
@@ -269,9 +270,12 @@ def cmd_finetune(args) -> int:
         start_epoch = int(meta.get("epoch", 0))
         optimizer = resume_optimizer(arrays, int(meta.get("opt_t", 0)),
                                      model, heads, schedule)
+        try:
+            loss_history, eval_history = read_histories(args.out, start_epoch)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         resumed = FinetuneResult(
-            loss_history=[tuple(row) for row in meta.get("loss_history", [])],
-            eval_history=[tuple(row) for row in meta.get("eval_history", [])],
+            loss_history=loss_history, eval_history=eval_history,
             best_f1=float(meta.get("best_f1", float("-inf"))),
             best_epoch=int(meta.get("best_epoch", -1)),
         )

@@ -9,6 +9,7 @@ are computed and ranked only when the coarse head fires.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -36,7 +37,12 @@ __all__ = [
     "predict",
     "finetune_run",
     "resume_optimizer",
+    "read_histories",
 ]
+
+# finetune_run's histories: file, header, column types
+HISTORIES = (("loss.csv", ["epoch", "step", "loss"], (int, int, float)),
+             ("eval.csv", ["epoch", "f1"], (int, float)))
 
 
 class DetectionHeads:
@@ -204,8 +210,7 @@ class FinetuneResult:
 def _coarse_f1(encodeds, model, heads) -> float:
     counts = ConfusionCounts.from_predictions(
         [enc.label for enc in encodeds],
-        map_ordered(lambda enc: predict(enc, model, heads).coarse_label, encodeds,
-                    sum(enc.n for enc in encodeds)),
+        list(map_ordered(lambda enc: predict(enc, model, heads).coarse_label, encodeds)),
     )
     return classification_metrics(counts)["f1"]
 
@@ -230,6 +235,29 @@ def resume_optimizer(arrays: dict, t: int, model: HierarchicalModel,
     return OptimizerState(learning_rate=schedule.learning_rate, t=t, **moments)
 
 
+def read_histories(out_dir: str, epochs: int) -> list[list[tuple]]:
+    """The loss and evaluation histories of the first ``epochs`` epochs, read
+    back from the ``loss.csv`` and ``eval.csv`` that ``finetune_run`` wrote
+    to ``out_dir`` (none without the file). Rows of later epochs, which a
+    run stopped before it could save ``last/`` leaves, are dropped; any
+    other content raises a ``ValueError`` naming the file."""
+    histories = []
+    for name, header, types in HISTORIES:
+        path = os.path.join(out_dir, name)
+        try:
+            with open(path, newline="") as fh:
+                lines = list(csv.reader(fh))
+            if lines[:1] != [header] or any(len(cells) != len(types) for cells in lines):
+                raise ValueError
+            rows = [tuple(cast(cell) for cast, cell in zip(types, cells)) for cells in lines[1:]]
+        except FileNotFoundError:
+            rows = []
+        except ValueError:
+            raise ValueError(f"{path} is not a {','.join(header)} table") from None
+        histories.append([row for row in rows if row[0] < epochs])
+    return histories
+
+
 def finetune_run(
     train: list[EncodedSample],
     evaluation: list[EncodedSample],
@@ -244,12 +272,13 @@ def finetune_run(
 ) -> FinetuneResult:
     """Epoch loop with evaluation-split F1 tracking and best-checkpoint keep.
 
-    Batch order is a pure function of (seed, epoch), and the "last"
-    checkpoint stores the optimizer moments, the best F1 and epoch so far
-    and the loss and evaluation histories, so a resumed run (passing them
-    back as ``optimizer`` and ``result``) reproduces an uninterrupted one
-    step for step, ``loss.csv`` and ``eval.csv`` included. Each step runs
-    its samples one at a time on the pool (``parallel.backward_sum``).
+    Batch order is a pure function of (seed, epoch). Each epoch ends by
+    writing ``loss.csv``, ``eval.csv`` and the "last" checkpoint, which
+    stores the optimizer moments and the best F1 and epoch so far, so a
+    resumed run (passing them back as ``optimizer`` and ``result``, the
+    histories through ``read_histories``) reproduces an uninterrupted one
+    step for step. Each step runs its samples one at a time on the pool
+    (``parallel.backward_sum``).
     """
     if not train:
         raise ValueError("training split is empty")
@@ -283,11 +312,8 @@ def finetune_run(
             batch = [train[i] for i in order[start:start + schedule.batch_size]]
             for p in params.values():
                 p.zero_grad()
-            value = backward_sum(
-                sample_losses(batch, model, heads, schedule.lambda_fine,
-                              schedule.class_weights),
-                params, sum(enc.n for enc in batch),
-            )
+            value = backward_sum(sample_losses(
+                batch, model, heads, schedule.lambda_fine, schedule.class_weights))
             if not np.isfinite(value):
                 raise DivergenceError(
                     f"fine-tuning loss became non-finite at epoch {epoch}, "
@@ -303,11 +329,13 @@ def finetune_run(
             result.best_f1 = f1 if evaluation else float("nan")
             result.best_epoch = epoch
             best_arrays = {k: v.copy() for k, v in arrays(False).items()}
+        if out_dir is not None:
+            for (name, header, _), rows in zip(HISTORIES, (result.loss_history,
+                                                           result.eval_history)):
+                write_csv(os.path.join(out_dir, name), header, rows)
         save("last", True, {"epoch": epoch + 1, "opt_t": opt.t,
                             "best_f1": result.best_f1,
                             "best_epoch": result.best_epoch,
-                            "loss_history": result.loss_history,
-                            "eval_history": result.eval_history,
                             "threshold": heads.threshold})
         if (
             schedule.early_stop_patience is not None
@@ -322,11 +350,6 @@ def finetune_run(
             meta={"epoch": result.best_epoch + 1, "f1": result.best_f1,
                   "threshold": heads.threshold},
         )
-    if out_dir is not None:
-        write_csv(os.path.join(out_dir, "loss.csv"), ["epoch", "step", "loss"],
-                  result.loss_history)
-        write_csv(os.path.join(out_dir, "eval.csv"), ["epoch", "f1"],
-                  result.eval_history)
     return result
 
 

@@ -8,8 +8,7 @@ The worker count is the number of cores this process may run on
 (``taskset -c 0`` gives one worker, which runs inline and starts no
 thread). OpenBLAS is held at one thread while a map runs, so that the
 workers do not oversubscribe the cores, and restored after it. Where no
-OpenBLAS thread setter is found, and for samples shorter than MIN_TOKENS,
-maps run inline.
+OpenBLAS thread setter is found, maps run inline.
 """
 
 from __future__ import annotations
@@ -22,14 +21,7 @@ from functools import cache
 
 from . import tensor as T
 
-__all__ = ["MIN_TOKENS", "map_ordered", "backward_sum", "usable_cores"]
-
-# Shorter samples run inline: their ops are too small for two workers to
-# beat OpenBLAS's own threads. On a 2-core host with OpenBLAS at its default
-# two threads, two workers ran a fine-tuning step over eight 64- or
-# 128-token samples 2-15% slower than one, and over eight 224-token samples
-# 25% faster.
-MIN_TOKENS = 192
+__all__ = ["map_ordered", "backward_sum", "usable_cores"]
 
 
 def usable_cores() -> int:
@@ -59,15 +51,16 @@ def _blas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-def map_ordered(fn, items, tokens: int) -> list:
-    """``[fn(item) for item in items]``, where the items are samples of
-    ``tokens`` tokens in all, run on up to one thread per usable core. Each
-    call runs under the caller's grad mode."""
+def map_ordered(fn, items):
+    """Yield ``fn(item)`` for each item, in item order, computed on up to one
+    thread per usable core, which run ahead of the consumer. Each call runs
+    under the grad mode that the iteration begins in."""
     items = list(items)
     workers = min(len(items), usable_cores())
     controls = _blas_thread_controls()
-    if workers <= 1 or not controls or tokens < MIN_TOKENS * len(items):
-        return [fn(item) for item in items]
+    if workers <= 1 or not controls:
+        yield from map(fn, items)
+        return
     grad_enabled = T._grad_mode.enabled  # thread-local: workers start enabled
 
     def task(item):
@@ -79,21 +72,21 @@ def map_ordered(fn, items, tokens: int) -> list:
         put(1)
     try:
         with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(task, items))
+            yield from pool.map(task, items)
     finally:
         for (_, put), count in zip(controls, previous):
             put(count)
 
 
-def backward_sum(losses, params: dict, tokens: int) -> float:
+def backward_sum(losses) -> float:
     """Build and differentiate each loss of ``losses`` (zero-argument
-    callables returning a scalar Tensor, one per sample, ``tokens`` in all)
-    on its own, via ``map_ordered``.
+    callables returning a scalar Tensor, one per sample) on its own, via
+    ``map_ordered``, and return the sum of their values.
 
-    Each loss's gradients go into a map of its own; the maps are then added
-    into ``params``' ``.grad`` in item order, and the loss values are summed
-    in item order, so the result does not depend on the worker count. Only
-    the graphs being worked on are alive at a time.
+    Each loss's leaf gradients go into a map of their own, which is added
+    into running totals, and then dropped, as soon as the maps before it
+    have been, so the totals do not depend on the worker count. The totals
+    are then added into the leaves' ``.grad``.
     """
     def unit(build):
         loss = build()
@@ -102,14 +95,14 @@ def backward_sum(losses, params: dict, tokens: int) -> float:
         return loss.item(), grads
 
     total = 0.0
-    for value, grads in map_ordered(unit, losses, tokens):
+    sums: dict = {}
+    for value, grads in map_ordered(unit, losses):
         total += value
-        for p in params.values():
-            g = grads.get(p)
-            if g is None:
-                continue
-            if p.grad is None:
-                p.grad = g
+        for leaf, g in grads.items():
+            if leaf in sums:
+                sums[leaf] += g
             else:
-                p.grad += g
+                sums[leaf] = g.copy()  # map arrays may be shared; this one is ours
+    for leaf, g in sums.items():
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
     return total

@@ -382,7 +382,7 @@ def pretrain_run(
                 continue
             for p in params.values():
                 p.zero_grad()
-            value = backward_sum(losses, params, sum(enc.n for enc, _ in batch))
+            value = backward_sum(losses)
             if not np.isfinite(value):
                 # leave the last periodic checkpoint as the recovery point
                 raise DivergenceError(

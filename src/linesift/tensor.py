@@ -153,23 +153,16 @@ class Tensor:
         order = _topo_order(self)
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(order):
-            g = grads.get(id(node))
-            if g is None or node._backward is None:
-                continue
-            node._backward(g, grads)
+            if node._backward is not None and id(node) in grads:
+                # an interior gradient is needed only until it is passed on
+                node._backward(grads.pop(id(node)), grads)
         for node in order:
             if node.requires_grad and node._backward is None and id(node) in grads:
-                # the map owns each array (see _accumulate), so no copy
-                piece = grads[id(node)]
+                piece = grads[id(node)]  # may be shared: add, never +=
                 if into is not None:
-                    if node in into:
-                        into[node] += piece
-                    else:
-                        into[node] = piece
-                elif node.grad is None:
-                    node.grad = piece
+                    into[node] = into[node] + piece if node in into else piece
                 else:
-                    node.grad += piece
+                    node.grad = piece if node.grad is None else node.grad + piece
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -193,20 +186,15 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _accumulate(grads: dict[int, np.ndarray], node: Tensor, piece: np.ndarray,
-                alias: bool = False) -> None:
-    """Add ``piece`` into ``node``'s gradient. The map keeps a fresh piece as
-    is and mutates it with later ``+=`` contributions; a piece that is (a
-    view of) an array held elsewhere, such as the upstream gradient that
-    ``add`` passes to both parents, must come with ``alias`` so that it is
-    copied first."""
+def _accumulate(grads: dict[int, np.ndarray], node: Tensor, piece: np.ndarray) -> None:
+    """Add ``piece`` into ``node``'s gradient. No array in the map is ever
+    written in place (a later piece makes a new sum), so ``piece`` is kept as
+    is even when it is, or is a view of, the upstream gradient, which ``add``
+    passes to both parents."""
     if not node.requires_grad:
         return
     key = id(node)
-    if key in grads:
-        grads[key] += piece
-    else:
-        grads[key] = np.array(piece, dtype=np.float64) if alias else piece
+    grads[key] = grads[key] + piece if key in grads else piece
 
 
 class _GradMode(threading.local):
@@ -255,12 +243,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum. ``b`` may be a vector broadcast over ``a``'s rows."""
     if a.shape == b.shape:
         def back(g, grads):
-            _accumulate(grads, a, g, alias=True)
-            _accumulate(grads, b, g, alias=True)
+            _accumulate(grads, a, g)
+            _accumulate(grads, b, g)
         return _result(a.data + b.data, (a, b), back)
     if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
         def back(g, grads):
-            _accumulate(grads, a, g, alias=True)
+            _accumulate(grads, a, g)
             _accumulate(grads, b, g.sum(axis=0))
         return _result(a.data + b.data, (a, b), back)
     raise ShapeMismatch(f"add: incompatible shapes {a.shape} and {b.shape}")
@@ -310,7 +298,7 @@ def transpose(a: Tensor) -> Tensor:
         raise ShapeMismatch(f"transpose: expects a 2-D tensor, got {a.shape}")
 
     def back(g, grads):
-        _accumulate(grads, a, g.T, alias=True)
+        _accumulate(grads, a, g.T)
 
     return _result(np.ascontiguousarray(a.data.T), (a,), back)
 
@@ -319,7 +307,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
 
     def back(g, grads):
-        _accumulate(grads, a, g.reshape(a.shape), alias=True)
+        _accumulate(grads, a, g.reshape(a.shape))
 
     return _result(a.data.reshape(shape), (a,), back)
 
@@ -349,7 +337,7 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     def back(g, grads):
         offset = 0
         for p, size in zip(parts, sizes):
-            _accumulate(grads, p, g[offset:offset + size], alias=True)
+            _accumulate(grads, p, g[offset:offset + size])
             offset += size
 
     return _result(np.concatenate([p.data for p in parts], axis=0),
@@ -365,7 +353,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     def back(g, grads):
         offset = 0
         for p, width in zip(parts, widths):
-            _accumulate(grads, p, g[:, offset:offset + width], alias=True)
+            _accumulate(grads, p, g[:, offset:offset + width])
             offset += width
 
     return _result(np.concatenate([p.data for p in parts], axis=1),

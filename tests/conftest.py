@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from linesift import parallel
 from linesift.encoding import CLS, EncodedSample, RESERVED_TOKENS
 
 
@@ -127,12 +126,6 @@ def per_head_names(arrays, heads):
             kind, h = divmod(i, heads)
             out[f"{layer}.head{h}.w{'qkv'[kind]}"] = block
     return out
-
-
-@pytest.fixture
-def pool_for_any_size(monkeypatch):
-    """Let the test's short samples go to the worker pool too."""
-    monkeypatch.setattr(parallel, "MIN_TOKENS", 0)
 
 
 @pytest.fixture

@@ -250,6 +250,31 @@ class TestFinetuneCommand:
         assert code == 2
         assert f"'{named}'" in capsys.readouterr().err
 
+    def test_resume_drops_history_rows_past_last(self, tmp_path, corpus_path):
+        def stopped_before_last(parted):
+            # an epoch writes loss.csv and eval.csv before last/, so a run
+            # stopped in between leaves rows of an epoch that last/ lacks
+            for name, row in (("loss.csv", "2,0,0.5\n"), ("eval.csv", "2,0.5\n")):
+                with open(parted / name, "a") as fh:
+                    fh.write(row)
+        self._check_resume(tmp_path, corpus_path, stopped_before_last)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("loss.csv", lambda text: text.replace("loss", "nll", 1)),
+        ("loss.csv", lambda text: text + "8,0\n"),
+        ("eval.csv", lambda text: text + "8,high\n"),
+    ], ids=["header", "short_row", "not_a_number"])
+    def test_resume_with_bad_history_exits_2(self, finetuned, corpus_path, tmp_path,
+                                             capsys, name, edit):
+        out = tmp_path / "ft"
+        shutil.copytree(finetuned, out)
+        (out / name).write_text(edit((out / name).read_text()))
+        code = main(["finetune", "--corpus", corpus_path, "--out", str(out),
+                     "--epochs", "9", "--batch", "6", "--lr", "3e-3", "--seed", "1",
+                     "--split", "0.6,0.2,0.2", "--vocab-size", "512", "--resume"])
+        assert code == 2
+        assert f"{out / name} is not a" in capsys.readouterr().err
+
     def _check_resume(self, tmp_path, corpus_path, edit_last=None):
         # with this seed the best evaluation F1 comes in the first epoch, so
         # a resume that forgot it would pick a later one

@@ -252,7 +252,7 @@ class TestPerSampleTerms:
         (0.5, (1.0, 3.0), (0, 0, 0)),
     ], ids=["class_weights", "lambda_0", "lambda_half", "all_negative"])
     def test_sum_matches_batched_graph(self, rng, model, heads, lambda_fine,
-                                       class_weights, labels, pool_for_any_size):
+                                       class_weights, labels):
         batch = [make_encoded(rng, 18 + 7 * i, vocab_size=VOCAB, label=label,
                               sample_id=f"s{i}") for i, label in enumerate(labels)]
         for enc in batch:
@@ -273,8 +273,7 @@ class TestPerSampleTerms:
 
         def per_sample():
             return parallel.backward_sum(
-                sample_losses(batch, model, heads, lambda_fine, class_weights), params,
-                sum(enc.n for enc in batch))
+                sample_losses(batch, model, heads, lambda_fine, class_weights))
 
         value, grads = gradients_after(params, oracle)
         for run in (graph_sum, per_sample):
@@ -318,7 +317,7 @@ class TestFinetuneRun:
             histories.append(result.loss_history)
         assert histories[0] == histories[1]
 
-    def test_worker_count_changes_no_bit(self, monkeypatch, pool_for_any_size):
+    def test_worker_count_changes_no_bit(self, monkeypatch):
         runs = []
         for cores in (1, 2):
             monkeypatch.setattr(parallel, "usable_cores", lambda cores=cores: cores)

@@ -20,24 +20,11 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
 
 
-def long_enough(items):
-    """A token count at which ``items`` may go to the pool."""
-    return parallel.MIN_TOKENS * len(items)
-
-
 def test_one_core_runs_inline(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
     main = threading.get_ident()
-    assert parallel.map_ordered(lambda i: (i, threading.get_ident()), range(3),
-                                long_enough(range(3))) \
+    assert list(parallel.map_ordered(lambda i: (i, threading.get_ident()), range(3))) \
         == [(0, main), (1, main), (2, main)]
-
-
-def test_short_samples_run_inline(two_cores):
-    main = threading.get_ident()
-    out = parallel.map_ordered(lambda i: threading.get_ident(), range(4),
-                               long_enough(range(4)) - 1)
-    assert out == [main] * 4
 
 
 @needs_blas_setter
@@ -46,7 +33,7 @@ def test_results_come_in_item_order(two_cores):
         time.sleep(0.02 * (4 - i))  # later items finish first
         return i, threading.get_ident()
 
-    out = parallel.map_ordered(late_first, range(5), long_enough(range(5)))
+    out = list(parallel.map_ordered(late_first, range(5)))
     assert [i for i, _ in out] == list(range(5))
     assert threading.get_ident() not in {ident for _, ident in out}
 
@@ -59,10 +46,10 @@ def test_workers_inherit_no_grad(two_cores):
         return T.matmul(w, w), threading.get_ident()
 
     with T.no_grad():
-        out = parallel.map_ordered(square, range(4), long_enough(range(4)))
+        out = list(parallel.map_ordered(square, range(4)))
     assert threading.get_ident() not in {ident for _, ident in out}
     assert all(t._backward is None and not t.requires_grad for t, _ in out)
-    out = parallel.map_ordered(square, range(4), long_enough(range(4)))
+    out = list(parallel.map_ordered(square, range(4)))
     assert all(t._backward is not None for t, _ in out)
 
 
@@ -76,8 +63,7 @@ def test_blas_threads_held_at_one_then_restored(two_cores):
         before = [get() for get, _ in controls]
         if max(before) < 2:
             pytest.skip("OpenBLAS runs a single thread at most here")
-        seen = parallel.map_ordered(lambda _: [get() for get, _ in controls], range(3),
-                                    long_enough(range(3)))
+        seen = list(parallel.map_ordered(lambda _: [get() for get, _ in controls], range(3)))
         assert seen == [[1] * len(controls)] * 3
         assert [get() for get, _ in controls] == before
 
@@ -85,7 +71,7 @@ def test_blas_threads_held_at_one_then_restored(two_cores):
             raise RuntimeError(f"item {i}")
 
         with pytest.raises(RuntimeError, match="item 0"):
-            parallel.map_ordered(fail, range(2), long_enough(range(2)))
+            list(parallel.map_ordered(fail, range(2)))
         assert [get() for get, _ in controls] == before
     finally:
         for (_, put), count in zip(controls, original):
@@ -107,7 +93,7 @@ def test_backward_sum_same_bits_with_more_workers_than_cores(monkeypatch):
         for cores in (1, 6):
             monkeypatch.setattr(parallel, "usable_cores", lambda cores=cores: cores)
             w.zero_grad()
-            sums.append((parallel.backward_sum(losses, {"w": w}, long_enough(losses)),
+            sums.append((parallel.backward_sum(losses),
                          w.grad.copy()))
     finally:
         sys.setswitchinterval(previous)

@@ -354,8 +354,7 @@ def cls_only_sample():
 
 class TestPerSampleTerms:
     @pytest.mark.parametrize("phase", ["mlm", "msp"])
-    def test_sum_matches_batched_graph(self, rng, model, decoder, phase,
-                                       pool_for_any_size):
+    def test_sum_matches_batched_graph(self, rng, model, decoder, phase):
         head = MlmHead(TINY.encoder.hidden, 32, VOCAB, rng)
         batch = [(make_encoded(rng, 20 + 9 * i, vocab_size=VOCAB, sample_id=f"s{i}"),
                   100 + i) for i in range(3)]
@@ -387,8 +386,7 @@ class TestPerSampleTerms:
             losses = sample_losses(phase, batch, model, decoder, head,
                                    per_token_mean=True)
             assert len(losses) == 3
-            return parallel.backward_sum(losses, params,
-                                         sum(enc.n for enc, _ in batch))
+            return parallel.backward_sum(losses)
 
         value, grads = gradients_after(params, oracle)
         got, got_grads = gradients_after(params, per_sample)
@@ -436,7 +434,7 @@ class TestPretrainRun:
             traces.append(state.loss_history)
         assert traces[0] == traces[1]
 
-    def test_worker_count_changes_no_bit(self, monkeypatch, pool_for_any_size):
+    def test_worker_count_changes_no_bit(self, monkeypatch):
         runs = []
         for cores in (1, 2):
             monkeypatch.setattr(parallel, "usable_cores", lambda cores=cores: cores)

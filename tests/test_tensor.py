@@ -211,6 +211,30 @@ class TestBackward:
         assert np.array_equal(x.grad, 2 * first_x)
         assert np.array_equal(w.grad, 2 * first_w)
 
+    def test_shared_upstream_gradient_is_not_written_in_place(self, rng):
+        # add hands one array to both parents, and transpose, reshape and
+        # concat_rows hand on views of theirs; a reaches its loss along two
+        # such paths, b along two more, so a sum written in place into a
+        # piece would leak into the other leaf's gradient
+        a = T.parameter(rng.normal(size=(2, 3)))
+        b = T.parameter(rng.normal(size=(2, 3)))
+        c = rng.normal(size=(4, 3))
+
+        def loss():
+            s = T.transpose(T.transpose(a + b))
+            both = T.concat_rows([s, T.reshape(T.reshape(a, (3, 2)), (2, 3))])
+            return T.mul(both, T.constant(c)).sum() + T.mul(b, b).sum()
+
+        expected = {a: c[:2] + c[2:], b: c[:2] + 2 * b.data}
+        for into in (None, {}):
+            a.zero_grad()
+            b.zero_grad()
+            for _ in range(2):
+                loss().backward(into=into)
+            for leaf, grad in expected.items():
+                got = leaf.grad if into is None else into[leaf]
+                assert np.allclose(got, 2 * grad, atol=1e-12)
+
     def test_backward_into_map_leaves_grad_untouched(self, rng):
         x = T.parameter(rng.normal(size=(3, 2)))
         w = T.parameter(rng.normal(size=(2, 2)))
