@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
@@ -30,6 +32,7 @@ from .transformer import Mlp
 __all__ = [
     "DetectionHeads",
     "PredictionReport",
+    "RankedLines",
     "FinetuneSchedule",
     "FinetuneResult",
     "sample_losses",
@@ -75,20 +78,23 @@ class DetectionHeads:
 
 def sample_losses(batch: list[EncodedSample], model: HierarchicalModel,
                   heads: DetectionHeads, lambda_fine: float = 1.0,
-                  class_weights=None) -> list:
+                  class_weights=None, freeze_encoder: bool = False) -> list:
     """The batch loss as one term per sample, to be summed in batch order:
     zero-argument callables that each build their sample's term.
 
     Both denominators, the sum of the labels' class weights (coarse CE) and
     the statement rows of the vulnerable samples (fine CE), depend only on
     the labels, so each sample's share is known before any forward pass.
+    With ``freeze_encoder`` the encoder runs under ``no_grad``, so only the
+    heads' graph is built and differentiated.
     """
     weights = np.ones(2) if class_weights is None else np.asarray(class_weights, float)
     coarse_sum = sum(weights[enc.label] for enc in batch)
     fine_rows = sum(enc.L for enc in batch if enc.label == 1)
 
     def term(enc: EncodedSample) -> Tensor:
-        program, statements = model.encode_program(enc)
+        with T.no_grad() if freeze_encoder else nullcontext():
+            program, statements = model.encode_program(enc)
         coarse = T.cross_entropy(heads.coarse_logits_raw(program), [enc.label])
         loss = T.scale(coarse, weights[enc.label] / coarse_sum)
         if enc.label == 1 and lambda_fine != 0.0:
@@ -123,6 +129,36 @@ def finetune_loss(
     return reduce(T.add, [build() for build in terms]), info
 
 
+class RankedLines(Sequence):
+    """Retained lines in ranked order, whose items are ``{"line": 1-based,
+    "p_vul": float}`` dicts made on access from two arrays, so that a kept
+    report holds two arrays rather than a dict per line."""
+
+    __slots__ = ("lines", "p_vul")
+
+    def __init__(self, lines, p_vul):
+        self.lines = np.asarray(lines, dtype=np.int64)
+        self.p_vul = np.asarray(p_vul, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return {"line": int(self.lines[i]), "p_vul": float(self.p_vul[i])}
+
+    def __iter__(self):
+        for line, p in zip(self.lines.tolist(), self.p_vul.tolist()):
+            yield {"line": line, "p_vul": p}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"RankedLines({list(self)!r})"
+
+
 @dataclass
 class PredictionReport:
     """Per-function verdict plus the (gated) per-statement ranking."""
@@ -130,7 +166,7 @@ class PredictionReport:
     id: str
     p_vul: float
     coarse_label: int
-    statements: list[dict]       # ranked: [{"line": 1-based, "p_vul": float}]
+    statements: Sequence[dict]   # ranked: [{"line": 1-based, "p_vul": float}]
     top_lines: list[int]         # first max(1, ceil(k% * L)) ranked lines
     k_percent: float
     lines: list[int]             # retained original line numbers, in order
@@ -140,7 +176,7 @@ class PredictionReport:
             "id": self.id,
             "p_vul": self.p_vul,
             "coarse_label": self.coarse_label,
-            "statements": self.statements,
+            "statements": list(self.statements),
             "top_lines": self.top_lines,
             "k_percent": self.k_percent,
             "lines": self.lines,
@@ -162,19 +198,14 @@ def predict(
     program, statements = model.encode_program(encoded)
     p_vul = float(heads.coarse_probabilities(program).data[0, 1])
     coarse_label = int(p_vul >= heads.threshold)
-    ranked: list[dict] = []
+    ranked: Sequence[dict] = []
     top_lines: list[int] = []
     if coarse_label == 1:
         probs = heads.fine_probabilities(statements).data[:, 1]
-        order = sorted(
-            range(encoded.L),
-            key=lambda i: (-probs[i], encoded.orig_lines[i]),
-        )
-        ranked = [
-            {"line": encoded.orig_lines[i], "p_vul": float(probs[i])}
-            for i in order
-        ]
-        top_lines = [r["line"] for r in ranked[:prefix_size(k_percent, encoded.L)]]
+        lines = np.asarray(encoded.orig_lines)
+        order = np.lexsort((lines, -probs))  # last key first
+        ranked = RankedLines(lines[order], probs[order])
+        top_lines = ranked.lines[:prefix_size(k_percent, encoded.L)].tolist()
     return PredictionReport(
         id=encoded.id,
         p_vul=p_vul,
@@ -313,7 +344,8 @@ def finetune_run(
             for p in params.values():
                 p.zero_grad()
             value = backward_sum(sample_losses(
-                batch, model, heads, schedule.lambda_fine, schedule.class_weights))
+                batch, model, heads, schedule.lambda_fine, schedule.class_weights,
+                schedule.freeze_encoder))
             if not np.isfinite(value):
                 raise DivergenceError(
                     f"fine-tuning loss became non-finite at epoch {epoch}, "

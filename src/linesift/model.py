@@ -22,6 +22,7 @@ from . import checkpoint
 from . import tensor as T
 from .tensor import Tensor
 from .encoding import EncodedSample, MAX_STATEMENTS, SEGMENT_TOKENS, Vocab
+from .parallel import map_ordered
 from .pooling import POOL_KINDS, make_pool
 from .transformer import EncoderConfig, StatementEncoder, TokenEncoder
 
@@ -103,12 +104,11 @@ class HierarchicalModel:
     # -- forward --------------------------------------------------------------
 
     def encode_tokens(self, encoded: EncodedSample) -> Tensor:
-        """Per-segment token encoding merged back into one [n x d] matrix."""
+        """Per-segment token encoding merged back into one [n x d] matrix.
+        The segments are independent, so they run on the pool."""
         self._check_caps(encoded)
-        pieces = [
-            self.token_encoder.forward(encoded.token_ids[s:e])
-            for s, e in encoded.segment_boundaries
-        ]
+        pieces = list(map_ordered(self.token_encoder.forward, [
+            encoded.token_ids[s:e] for s, e in encoded.segment_boundaries]))
         if len(pieces) == 1:
             return pieces[0]
         return T.concat_rows(pieces)

@@ -1,13 +1,18 @@
-"""Per-sample work on every usable core, with results in item order.
+"""Independent units of work on every usable core, with results in item order.
 
-Samples never see each other before the loss, so a training step's samples
-(and an evaluation's predicts) are independent units of work. numpy releases
-the GIL in matmul and ufuncs, so a few threads run them side by side.
+Samples never see each other before the loss, and a sample's 512-token
+segments never see each other before the statement level, so a training
+step's samples, an evaluation's predicts and a long sample's segments are
+independent units of work. numpy releases the GIL in matmul and ufuncs, so
+a few threads run them side by side.
 
-The worker count is the number of cores this process may run on
-(``taskset -c 0`` gives one worker, which runs inline and starts no
-thread). OpenBLAS is held at one thread while a map runs, so that the
-workers do not oversubscribe the cores, and restored after it. Where no
+All maps share one process-wide pool of one thread fewer than the cores
+this process may run on, created by the first map; the calling thread
+makes up the last worker. ``taskset -c 0`` gives no pool thread, and every
+map runs inline. A map started while an item runs (a ``predict`` inside an
+evaluation's map, a sample's segments inside a training step's) runs
+inline too. OpenBLAS is held at one thread while a map runs, so that the
+threads do not oversubscribe the cores, and restored after it. Where no
 OpenBLAS thread setter is found, maps run inline.
 """
 
@@ -15,13 +20,21 @@ from __future__ import annotations
 
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from functools import cache
 
 from . import tensor as T
 
 __all__ = ["map_ordered", "backward_sum", "usable_cores"]
+
+
+class _Running(threading.local):
+    item = False  # this thread is running an item of a map
+
+
+_running = _Running()
 
 
 def usable_cores() -> int:
@@ -51,29 +64,65 @@ def _blas_thread_controls() -> tuple:
     return tuple(controls)
 
 
+@cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads, thread_name_prefix="linesift")
+
+
 def map_ordered(fn, items):
-    """Yield ``fn(item)`` for each item, in item order, computed on up to one
-    thread per usable core, which run ahead of the consumer. Each call runs
-    under the grad mode that the iteration begins in."""
+    """Yield ``fn(item)`` for each item, in item order, computed on the pool,
+    which runs ahead of the consumer, and on the consumer's thread. Each
+    call runs under the grad mode that the iteration begins in; an item's
+    exception is raised at that item's turn.
+
+    While the next result is not ready, the consumer takes the last item
+    that no thread has started and runs it itself, so that no item waits
+    for a thread while the consumer idles.
+    """
     items = list(items)
-    workers = min(len(items), usable_cores())
     controls = _blas_thread_controls()
-    if workers <= 1 or not controls:
+    if len(items) <= 1 or usable_cores() <= 1 or not controls or _running.item:
         yield from map(fn, items)
         return
-    grad_enabled = T._grad_mode.enabled  # thread-local: workers start enabled
+    grad_enabled = T._grad_mode.enabled  # thread-local: pool threads start enabled
 
-    def task(item):
-        with nullcontext() if grad_enabled else T.no_grad():
-            return fn(item)
+    def run(item):
+        _running.item = True
+        try:
+            with nullcontext() if grad_enabled else T.no_grad():
+                return fn(item)
+        finally:
+            _running.item = False
 
     previous = [get() for get, _ in controls]
     for _, put in controls:
         put(1)
+    pool = _pool(usable_cores() - 1)
+    futures = [pool.submit(run, item) for item in items]
+    taken: dict = {}  # index -> (value, exception) of the items run here
+    last = len(items) - 1  # items past it are started or taken
     try:
-        with ThreadPoolExecutor(workers) as pool:
-            yield from pool.map(task, items)
+        for i, future in enumerate(futures):
+            while i not in taken and not future.done() and last >= i:
+                # cancel() is also True on a future taken before, so each
+                # index is tried once, from the back
+                if futures[last].cancel():
+                    try:
+                        taken[last] = run(items[last]), None
+                    except Exception as exc:  # held until its turn
+                        taken[last] = None, exc
+                last -= 1
+            if i in taken:
+                value, exc = taken.pop(i)
+                if exc is not None:
+                    raise exc
+                yield value
+            else:
+                yield future.result()
     finally:
+        # only items a pool thread started: wait() counts a cancelled future
+        # done only once a pool thread has dequeued it
+        wait([future for future in futures if not future.cancel()])
         for (_, put), count in zip(controls, previous):
             put(count)
 

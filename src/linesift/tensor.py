@@ -219,9 +219,13 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
+def _keeps_graph(parents: tuple[Tensor, ...]) -> bool:
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    if _keeps_graph(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -407,6 +411,13 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(s, (x,), back)
 
 
+def _softmax_last_axis(x: np.ndarray) -> None:
+    """Softmax in place along the last axis."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x *= np.reciprocal(x.sum(axis=-1, keepdims=True))
+
+
 def multi_head_attention(H: Tensor, wqkv: Tensor, heads: int, sink=None) -> Tensor:
     """Scaled-dot self-attention over all heads as one op, heads concatenated.
 
@@ -417,8 +428,10 @@ def multi_head_attention(H: Tensor, wqkv: Tensor, heads: int, sink=None) -> Tens
     caller). When ``sink`` is a list, one list of the per-head [n x n]
     attention matrices is appended to it.
 
-    The backward pass is analytic; the attention weights are the only
-    [n x n] array it keeps.
+    When a graph is kept, all heads' scores form one [heads x n x n] block,
+    the only [n x n] array the analytic backward keeps. When none is (under
+    ``no_grad``, or with constant operands), the heads are scored one at a
+    time in one [n x n] buffer.
     """
     if (H.ndim != 2 or wqkv.ndim != 2 or heads < 1 or wqkv.shape[0] != H.shape[1]
             or wqkv.shape[1] % (3 * heads)):
@@ -433,11 +446,22 @@ def multi_head_attention(H: Tensor, wqkv: Tensor, heads: int, sink=None) -> Tens
     q, k, v = (qkv[:, i * width:(i + 1) * width].reshape(n, heads, dk)
                .transpose(1, 0, 2) for i in range(3))
     scale_dk = 1.0 / math.sqrt(dk)
+    q *= scale_dk  # the score scale, folded into the queries
+    if not _keeps_graph((H, wqkv)):
+        out = np.empty((n, width))
+        att = np.empty((n, n))
+        maps = []
+        for h in range(heads):
+            np.matmul(q[h], k[h].T, out=att)
+            _softmax_last_axis(att)
+            if sink is not None:
+                maps.append(att.copy())
+            np.matmul(att, v[h], out=out[:, h * dk:(h + 1) * dk])
+        if sink is not None:
+            sink.append(maps)
+        return Tensor(out)
     att = np.matmul(q, k.transpose(0, 2, 1))
-    att *= scale_dk
-    att -= att.max(axis=2, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=2, keepdims=True)
+    _softmax_last_axis(att)
     if sink is not None:
         sink.append([a.copy() for a in att])
     ctx = np.matmul(att, v)
@@ -454,9 +478,8 @@ def multi_head_attention(H: Tensor, wqkv: Tensor, heads: int, sink=None) -> Tens
         g_att = np.matmul(g_ctx, v.transpose(0, 2, 1))
         g_att -= (g_ctx * ctx).sum(axis=2, keepdims=True)
         g_att *= att
-        # the 1/sqrt(dk) score scale, applied to the small operands
         g_q[...] = np.matmul(g_att, k * scale_dk)
-        g_k[...] = np.matmul(g_att.transpose(0, 2, 1), q * scale_dk)
+        g_k[...] = np.matmul(g_att.transpose(0, 2, 1), q)
         if H.requires_grad:
             _accumulate(grads, H, g_qkv @ wqkv.data.T)
         if wqkv.requires_grad:
@@ -504,7 +527,10 @@ def gelu(x: Tensor) -> Tensor:
         d = 0.5 * (1.0 + e) + x.data * np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
         _accumulate(grads, x, g * d)
 
-    return _result(0.5 * x.data * (1.0 + e), (x,), back)
+    out = 1.0 + e  # 0.5 * x * (1 + e), with one [r x c] temporary fewer
+    out *= x.data
+    out *= 0.5
+    return _result(out, (x,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:

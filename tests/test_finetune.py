@@ -1,5 +1,7 @@
 """Detection heads, joint loss, staged prediction, training loop."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,9 @@ class TestPredict:
         )
         assert [s["line"] for s in report.statements] == [l for l, _ in oracle]
         assert report.statements[0]["p_vul"] == max(probs)
+        as_dicts = [{"line": l, "p_vul": float(p)} for l, p in oracle]
+        assert report.statements == as_dicts and report.statements[-2:] == as_dicts[-2:]
+        assert json.loads(json.dumps(report.to_dict()))["statements"] == as_dicts
 
     def test_builds_no_graph(self, rng, model, heads, monkeypatch):
         heads.dnet.b2.data[:] = [0.0, 10.0]  # the statement ranking runs too
@@ -351,6 +356,14 @@ class TestFinetuneRun:
         finetune_run(encodeds, [], model, heads, schedule)
         for k, v in model.state_arrays().items():
             assert np.array_equal(v, before[k])
+
+    def test_freeze_encoder_differentiates_only_the_heads(self):
+        encodeds, model, heads, _ = self.make_inputs()
+        schedule = FinetuneSchedule(epochs=1, batch_size=4, freeze_encoder=True,
+                                    seed=0)
+        finetune_run(encodeds, [], model, heads, schedule)
+        assert all(p.grad is None for p in model.parameters().values())
+        assert heads.dnet.w1.grad is not None
 
     def test_early_stop(self):
         encodeds, model, heads, _ = self.make_inputs()

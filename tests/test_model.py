@@ -1,11 +1,13 @@
 """Long-sequence pipeline: segment/merge equivalence, batching, bundles."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import make_encoded, per_head_names
+from linesift import parallel
 from linesift import tensor as T
 from linesift.checkpoint import CheckpointError
 from linesift.encoding import _boundaries
@@ -38,6 +40,26 @@ class TestEncodeProgram:
         d_prog, d_stmts = model.statement_encoder.forward(initial)
         assert np.max(np.abs(program.data - d_prog.data)) < 1e-12
         assert np.max(np.abs(statements.data - d_stmts.data)) < 1e-12
+
+    def test_predict_same_bits_for_one_and_two_cores(self, rng, model, monkeypatch):
+        enc = make_encoded(rng, 1900)
+        assert len(enc.segment_boundaries) == 4
+        heads = DetectionHeads(16, 32, rng, threshold=0.0)  # always rank lines
+        forward = model.token_encoder.forward
+        threads = set()
+
+        def recorded(ids):
+            threads.add(threading.get_ident())
+            return forward(ids)
+
+        model.token_encoder.forward = recorded
+        reports = []
+        for cores in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cores", lambda cores=cores: cores)
+            reports.append(predict(enc, model, heads).to_dict())
+        assert reports[0] == reports[1] and reports[0]["statements"]
+        if parallel._blas_thread_controls():
+            assert len(threads) > 1
 
     def test_two_segment_arithmetic(self, rng, model):
         enc = make_encoded(rng, 700)

@@ -1,4 +1,4 @@
-"""The per-sample pool: item order, inline runs, grad mode, BLAS threads."""
+"""The pool: item order, inline runs, grad mode, BLAS threads, errors."""
 
 import sys
 import threading
@@ -20,6 +20,22 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
 
 
+def joined_by_a_second_thread(fn):
+    """``fn`` made to wait (up to 5 s) until two threads have run items, so
+    that the caller cannot run every item before the pool thread starts."""
+    seen = set()
+    both = threading.Event()
+
+    def item(i):
+        seen.add(threading.get_ident())
+        if len(seen) > 1:
+            both.set()
+        both.wait(5)
+        return fn(i)
+
+    return item
+
+
 def test_one_core_runs_inline(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
     main = threading.get_ident()
@@ -35,7 +51,24 @@ def test_results_come_in_item_order(two_cores):
 
     out = list(parallel.map_ordered(late_first, range(5)))
     assert [i for i, _ in out] == list(range(5))
-    assert threading.get_ident() not in {ident for _, ident in out}
+    assert len({ident for _, ident in out}) > 1
+
+
+@needs_blas_setter
+def test_each_item_runs_once(monkeypatch):
+    # a future the caller took still reports cancel() == True
+    runs = []
+
+    def item(i):
+        runs.append(i)
+        time.sleep(0.002 * (i % 3))
+        return i
+
+    for cores in (2, 3):
+        monkeypatch.setattr(parallel, "usable_cores", lambda cores=cores: cores)
+        runs.clear()
+        assert list(parallel.map_ordered(item, range(12))) == list(range(12))
+        assert sorted(runs) == list(range(12))
 
 
 @needs_blas_setter
@@ -46,8 +79,8 @@ def test_workers_inherit_no_grad(two_cores):
         return T.matmul(w, w), threading.get_ident()
 
     with T.no_grad():
-        out = list(parallel.map_ordered(square, range(4)))
-    assert threading.get_ident() not in {ident for _, ident in out}
+        out = list(parallel.map_ordered(joined_by_a_second_thread(square), range(4)))
+    assert len({ident for _, ident in out}) > 1
     assert all(t._backward is None and not t.requires_grad for t, _ in out)
     out = list(parallel.map_ordered(square, range(4)))
     assert all(t._backward is not None for t, _ in out)
@@ -90,12 +123,74 @@ def test_backward_sum_same_bits_with_more_workers_than_cores(monkeypatch):
     previous = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        for cores in (1, 6):
+        for cores in (1, 2, 6):
             monkeypatch.setattr(parallel, "usable_cores", lambda cores=cores: cores)
             w.zero_grad()
             sums.append((parallel.backward_sum(losses),
                          w.grad.copy()))
     finally:
         sys.setswitchinterval(previous)
-    (value, grad), (value6, grad6) = sums
-    assert value == value6 and np.array_equal(grad, grad6)
+    for value, grad in sums[1:]:
+        assert value == sums[0][0] and np.array_equal(grad, sums[0][1])
+
+
+@needs_blas_setter
+def test_items_the_caller_runs_inherit_no_grad(two_cores):
+    w = T.parameter(np.eye(2))
+    caller = threading.get_ident()
+    began = []  # set once the first result is out
+
+    def square(i):
+        time.sleep(0.002 if i else 0.0)  # the pool thread cannot run them all
+        return T.matmul(w, w), threading.get_ident() == caller and bool(began)
+
+    results = parallel.map_ordered(square, range(40))
+    with T.no_grad():  # the iteration begins here; the rest runs with grad on
+        out = [next(results)]
+    began.append(True)
+    out += list(results)
+    assert any(late_on_caller for _, late_on_caller in out)
+    assert all(t._backward is None and not t.requires_grad for t, _ in out)
+
+
+@needs_blas_setter
+def test_first_failing_items_error_comes_first(two_cores):
+    def fail(failing):
+        def item(i):
+            if i in failing:
+                raise RuntimeError(f"item {i}")
+            return i
+        return item
+
+    with pytest.raises(RuntimeError, match="item 0"):
+        list(parallel.map_ordered(fail({0, 3}), range(4)))
+    got = []
+    with pytest.raises(RuntimeError, match="item 3"):
+        for value in parallel.map_ordered(fail({3}), range(4)):
+            got.append(value)
+    assert got == [0, 1, 2]
+
+
+def test_nested_map_runs_inline_and_leaves_blas_alone(monkeypatch, two_cores):
+    calls = []
+    controls = ((lambda: calls.append("get") or 2, lambda n: calls.append(n)),)
+    monkeypatch.setattr(parallel, "_blas_thread_controls", lambda: controls)
+
+    def outer(i):
+        threads, blas_calls = threading.active_count(), len(calls)
+        inner = list(parallel.map_ordered(lambda j: threading.get_ident(), range(3)))
+        return (inner == [threading.get_ident()] * 3,
+                threading.active_count() == threads, len(calls) == blas_calls)
+
+    out = list(parallel.map_ordered(joined_by_a_second_thread(outer), range(4)))
+    assert out == [(True, True, True)] * 4
+    assert calls == ["get", 1, 2]
+
+
+@needs_blas_setter
+def test_pool_threads_persist_across_maps(two_cores):
+    list(parallel.map_ordered(abs, range(4)))
+    threads = threading.active_count()
+    for _ in range(50):
+        list(parallel.map_ordered(abs, range(4)))
+    assert threading.active_count() == threads

@@ -95,6 +95,20 @@ class TestMultiHeadAttention:
             for g, w in zip(got, want):  # every head's wq, wk and wv block
                 assert np.max(np.abs(g - w.grad)) < 1e-12
 
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_no_grad_path_matches_graph_path(self, rng, heads):
+        H = T.parameter(rng.normal(size=(9, 8)))
+        wqkv = attention_params(rng, 8)
+        graph_maps, plain_maps = [], []
+        graph = T.multi_head_attention(H, wqkv, heads, graph_maps)
+        with T.no_grad():
+            plain = T.multi_head_attention(H, wqkv, heads, plain_maps)
+        assert graph._backward is not None and plain._backward is None
+        assert np.max(np.abs(plain.data - graph.data)) < 1e-12
+        assert [len(maps) for maps in plain_maps] == [heads]
+        for got, want in zip(plain_maps[0], graph_maps[0]):
+            assert np.max(np.abs(got - want)) < 1e-12
+
     def test_finite_differences_on_toy(self, rng):
         H = T.parameter(rng.normal(size=(6, TOY.hidden)))
         wqkv = attention_params(rng, TOY.hidden)
