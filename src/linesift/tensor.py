@@ -41,6 +41,7 @@ __all__ = [
     "embedding_lookup",
     "softmax_rows",
     "multi_head_attention",
+    "encoder_layer",
     "layer_norm",
     "gelu",
     "sigmoid",
@@ -411,11 +412,93 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(s, (x,), back)
 
 
-def _softmax_last_axis(x: np.ndarray) -> None:
-    """Softmax in place along the last axis."""
-    x -= x.max(axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x *= np.reciprocal(x.sum(axis=-1, keepdims=True))
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """The [heads x n x d_k] view of an [n x heads*d_k] array that holds the
+    heads side by side."""
+    return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _head_views(a: np.ndarray, heads: int) -> list[np.ndarray]:
+    """The query, key and value views of a [n x 3*heads*d_k] projection (or
+    of its gradient), each split by ``_split_heads``."""
+    width = a.shape[1] // 3
+    return [_split_heads(a[:, i * width:(i + 1) * width], heads) for i in range(3)]
+
+
+def _attention_forward(qkv: np.ndarray, heads: int, keep: bool, sink):
+    """Every head's scaled-dot attention on the projection ``qkv``.
+
+    Head h's context is (E_h V_h) * r_h, where E_h = exp(S_h - rowmax S_h)
+    are the unnormalized weights of its scores S_h = Q_h K_h^T / sqrt(d_k)
+    and r_h their reciprocal row sums; the weights themselves are never
+    normalized. The score scale is folded into the queries, in place in
+    ``qkv``. Returns the [n x heads*d_k] context (heads side by side), the
+    [heads x n x n] block of E and the [heads x n x 1] block of r. With
+    ``keep`` all heads are scored at once into E, which the backward keeps;
+    without, one at a time in one [n x n] buffer, and E is None. A list
+    ``sink`` gets one list of the per-head normalized weights.
+    """
+    n = qkv.shape[0]
+    q, k, v = _head_views(qkv, heads)
+    dk = q.shape[2]
+    q *= 1.0 / math.sqrt(dk)
+    ctx = np.empty((n, heads * dk))
+    c = _split_heads(ctx, heads)
+    r = np.empty((heads, n, 1))
+    E = np.empty((heads, n, n)) if keep else None
+    e = E if keep else np.empty((1, n, n))
+    maps = []
+    for h in range(0, heads, len(e)):
+        hs = slice(h, h + len(e))
+        np.matmul(q[hs], k[hs].transpose(0, 2, 1), out=e)
+        e -= e.max(axis=2, keepdims=True)
+        np.exp(e, out=e)
+        np.reciprocal(e.sum(axis=2, keepdims=True), out=r[hs])
+        if sink is not None:
+            maps.extend(e * r[hs])
+        np.matmul(e, v[hs], out=c[hs])
+    c *= r
+    if sink is not None:
+        sink.append(maps)
+    return ctx, E, r
+
+
+def _attention_backward(g_ctx, qkv, ctx, E, r, heads: int) -> np.ndarray:
+    """The gradient of ``_attention_forward`` with respect to ``qkv``.
+
+    With P = E * r the weights and C = P V the context, dV = E^T (r dC), and
+    the softmax backward dS = P * (dC V^T - rowsum(dC * C)) is
+    E * ([r dC, -r delta] @ [V, 1]^T) with delta = rowsum(dC * C): the row
+    correction rides in the matmul. Only dS is [n x n]; the heads take
+    turns in one buffer for it.
+    """
+    n = qkv.shape[0]
+    q, k, v = _head_views(qkv, heads)
+    dk = q.shape[2]
+    g_c = _split_heads(g_ctx, heads)
+    left = np.empty((heads, n, dk + 1))
+    np.multiply(g_c, r, out=left[..., :dk])
+    delta = np.einsum("hij,hij->hi", g_c, _split_heads(ctx, heads))
+    np.multiply(delta[..., None], -r, out=left[..., dk:])
+    right = np.ones_like(left)
+    right[..., :dk] = v
+    g_qkv = np.empty_like(qkv)
+    g_q, g_k, g_v = _head_views(g_qkv, heads)
+    np.matmul(E.transpose(0, 2, 1), left[..., :dk], out=g_v)
+    g_s = np.empty((n, n))
+    for h in range(heads):
+        np.matmul(left[h], right[h].T, out=g_s)
+        g_s *= E[h]
+        np.matmul(g_s, k[h], out=g_q[h])
+        np.matmul(g_s.T, q[h], out=g_k[h])
+    g_q *= 1.0 / math.sqrt(dk)
+    return g_qkv
+
+
+def _check_attention(op: str, H: Tensor, wqkv: Tensor, heads: int) -> None:
+    if (H.ndim != 2 or wqkv.ndim != 2 or heads < 1 or wqkv.shape[0] != H.shape[1]
+            or wqkv.shape[1] % (3 * heads)):
+        raise ShapeMismatch(f"{op}: input {H.shape}, wqkv {wqkv.shape}, {heads} heads")
 
 
 def multi_head_attention(H: Tensor, wqkv: Tensor, heads: int, sink=None) -> Tensor:
@@ -426,69 +509,62 @@ def multi_head_attention(H: Tensor, wqkv: Tensor, heads: int, sink=None) -> Tens
     computes softmax(Q_h K_h^T / sqrt(d_k)) V_h; the [n x heads*d_k] output
     holds the heads side by side (the output projection is left to the
     caller). When ``sink`` is a list, one list of the per-head [n x n]
-    attention matrices is appended to it.
-
-    When a graph is kept, all heads' scores form one [heads x n x n] block,
-    the only [n x n] array the analytic backward keeps. When none is (under
-    ``no_grad``, or with constant operands), the heads are scored one at a
-    time in one [n x n] buffer.
+    attention matrices is appended to it. ``encoder_layer`` runs the same
+    kernels.
     """
-    if (H.ndim != 2 or wqkv.ndim != 2 or heads < 1 or wqkv.shape[0] != H.shape[1]
-            or wqkv.shape[1] % (3 * heads)):
-        raise ShapeMismatch(
-            f"multi_head_attention: input {H.shape}, wqkv {wqkv.shape}, {heads} heads"
-        )
-    n = H.shape[0]
-    width = wqkv.shape[1] // 3
-    dk = width // heads
+    _check_attention("multi_head_attention", H, wqkv, heads)
     qkv = H.data @ wqkv.data
-    # [heads x n x dk] views of the query, key and value column blocks
-    q, k, v = (qkv[:, i * width:(i + 1) * width].reshape(n, heads, dk)
-               .transpose(1, 0, 2) for i in range(3))
-    scale_dk = 1.0 / math.sqrt(dk)
-    q *= scale_dk  # the score scale, folded into the queries
-    if not _keeps_graph((H, wqkv)):
-        out = np.empty((n, width))
-        att = np.empty((n, n))
-        maps = []
-        for h in range(heads):
-            np.matmul(q[h], k[h].T, out=att)
-            _softmax_last_axis(att)
-            if sink is not None:
-                maps.append(att.copy())
-            np.matmul(att, v[h], out=out[:, h * dk:(h + 1) * dk])
-        if sink is not None:
-            sink.append(maps)
-        return Tensor(out)
-    att = np.matmul(q, k.transpose(0, 2, 1))
-    _softmax_last_axis(att)
-    if sink is not None:
-        sink.append([a.copy() for a in att])
-    ctx = np.matmul(att, v)
-    out = ctx.transpose(1, 0, 2).reshape(n, width)
+    ctx, E, r = _attention_forward(qkv, heads, _keeps_graph((H, wqkv)), sink)
 
     def back(g, grads):
-        g_ctx = g.reshape(n, heads, dk).transpose(1, 0, 2)
-        g_qkv = np.empty_like(qkv)
-        g_q, g_k, g_v = (g_qkv[:, i * width:(i + 1) * width].reshape(n, heads, dk)
-                         .transpose(1, 0, 2) for i in range(3))
-        g_v[...] = np.matmul(att.transpose(0, 2, 1), g_ctx)
-        # softmax backward: att * (g_att - rowsum(g_att * att)), where the
-        # row sum equals rowsum(g_ctx * ctx) and costs [n x dk], not [n x n]
-        g_att = np.matmul(g_ctx, v.transpose(0, 2, 1))
-        g_att -= (g_ctx * ctx).sum(axis=2, keepdims=True)
-        g_att *= att
-        g_q[...] = np.matmul(g_att, k * scale_dk)
-        g_k[...] = np.matmul(g_att.transpose(0, 2, 1), q)
+        g_qkv = _attention_backward(g, qkv, ctx, E, r, heads)
         if H.requires_grad:
             _accumulate(grads, H, g_qkv @ wqkv.data.T)
         if wqkv.requires_grad:
             _accumulate(grads, wqkv, H.data.T @ g_qkv)
 
-    return _result(out, (H, wqkv), back)
+    return _result(ctx, (H, wqkv), back)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+def _layer_norm_forward(x, gain, bias, eps: float, out=None):
+    """(xhat * gain + bias, xhat, inv) for the rows of ``x``, with xhat the
+    normalized rows (written into ``out``, which may be ``x``) and inv the
+    [r x 1] reciprocal standard deviations."""
+    mean = x.sum(axis=1, keepdims=True)
+    mean /= x.shape[1]
+    xhat = np.subtract(x, mean, out=out)
+    inv = np.einsum("ij,ij->i", xhat, xhat)[:, None]
+    inv /= x.shape[1]
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    y = xhat * gain
+    y += bias
+    return y, xhat, inv
+
+
+def _layer_norm_backward(g, gain, xhat, inv, out=None):
+    """Gradients (input, gain, bias) of ``_layer_norm_forward`` for upstream
+    ``g``; the input's is written into ``out`` (which may be ``g``)."""
+    g_gain = np.einsum("ij,ij->j", g, xhat)
+    g_bias = g.sum(axis=0)
+    gx = np.multiply(g, gain, out=out)
+    d = gx.shape[1]
+    mean_g = gx.sum(axis=1, keepdims=True)
+    mean_g /= d
+    mean_gx = np.einsum("ij,ij->i", gx, xhat)[:, None]
+    mean_gx /= d
+    gx -= mean_g
+    gx -= xhat * mean_gx
+    gx *= inv
+    return gx, g_gain, g_bias
+
+
+_LN_EPS = 1e-12
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Per-row layer normalization followed by the gain/bias affine map."""
     if x.ndim != 2 or x.shape[1] < 2:
         raise ShapeMismatch(f"layer_norm: needs [r x d] with d >= 2, got {x.shape}")
@@ -497,40 +573,107 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} "
             f"do not match feature dim {x.shape[1]}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    y, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data, eps)
 
     def back(g, grads):
-        gx = g * gain.data
-        if x.requires_grad:
-            # classic LN backward in terms of xhat
-            term = gx - gx.mean(axis=1, keepdims=True) \
-                - xhat * (gx * xhat).mean(axis=1, keepdims=True)
-            _accumulate(grads, x, term * inv)
-        _accumulate(grads, gain, (g * xhat).sum(axis=0))
-        _accumulate(grads, bias, g.sum(axis=0))
+        g_x, g_gain, g_bias = _layer_norm_backward(g, gain.data, xhat, inv)
+        _accumulate(grads, x, g_x)
+        _accumulate(grads, gain, g_gain)
+        _accumulate(grads, bias, g_bias)
 
-    return _result(xhat * gain.data + bias.data, (x, gain, bias), back)
+    return _result(y, (x, gain, bias), back)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _gelu_forward(x: np.ndarray, keep: bool):
+    """(gelu(x), erf(x / sqrt(2))); without ``keep`` the erf array is not
+    returned, and the output is written over it."""
+    e = np.multiply(x, _INV_SQRT2)
+    erf(e, out=e)
+    out = 1.0 + e if keep else np.add(e, 1.0, out=e)  # 0.5 * x * (1 + e)
+    out *= x
+    out *= 0.5
+    return out, (e if keep else None)
+
+
+def _gelu_backward(g, x, e) -> np.ndarray:
+    """g * gelu'(x), with ``e`` the erf array of ``_gelu_forward``."""
+    d = np.multiply(x, -0.5)
+    d *= x
+    np.exp(d, out=d)
+    d *= x
+    d *= _INV_SQRT2PI
+    slope = 1.0 + e
+    slope *= 0.5
+    slope += d
+    slope *= g
+    return slope
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
-    e = erf(x.data * _INV_SQRT2)
+    out, e = _gelu_forward(x.data, _keeps_graph((x,)))
 
     def back(g, grads):
-        d = 0.5 * (1.0 + e) + x.data * np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        _accumulate(grads, x, g * d)
+        _accumulate(grads, x, _gelu_backward(g, x.data, e))
 
-    out = 1.0 + e  # 0.5 * x * (1 + e), with one [r x c] temporary fewer
-    out *= x.data
-    out *= 0.5
     return _result(out, (x,), back)
+
+
+def encoder_layer(H: Tensor, weights, heads: int, sink=None) -> Tensor:
+    """One post-norm Transformer encoder layer as one op.
+
+    ``weights`` are (wqkv, wo, w1, b1, w2, b2, ln1_gain, ln1_bias, ln2_gain,
+    ln2_bias). The result is LN2(G + gelu(G w1 + b1) w2 + b2) with
+    G = LN1(H + A wo) and A ``multi_head_attention(H, wqkv, heads, sink)``,
+    computed by the kernels of that op, ``layer_norm`` and ``gelu`` with the
+    bias adds and residuals written in place. The backward is analytic and
+    walks LN2, the feed-forward, LN1, wo and the attention in turn. When no
+    graph is kept nothing is saved for it.
+    """
+    wqkv, wo, w1, b1, w2, b2, ln1_gain, ln1_bias, ln2_gain, ln2_bias = weights
+    _check_attention("encoder_layer", H, wqkv, heads)
+    keep = _keeps_graph((H, *weights))
+    qkv = H.data @ wqkv.data
+    ctx, E, r = _attention_forward(qkv, heads, keep, sink)
+    x1 = ctx @ wo.data
+    if not keep:
+        qkv = ctx = None  # nothing is saved: free them for the feed-forward
+    x1 += H.data
+    G, xhat1, inv1 = _layer_norm_forward(x1, ln1_gain.data, ln1_bias.data, _LN_EPS, out=x1)
+    Z = G @ w1.data
+    Z += b1.data
+    U, e = _gelu_forward(Z, keep)
+    x2 = U @ w2.data
+    x2 += b2.data
+    x2 += G
+    out, xhat2, inv2 = _layer_norm_forward(x2, ln2_gain.data, ln2_bias.data, _LN_EPS, out=x2)
+    if not keep:
+        return Tensor(out)
+
+    def back(g, grads):
+        g_x2, g_ln2_gain, g_ln2_bias = _layer_norm_backward(g, ln2_gain.data, xhat2, inv2)
+        g_Z = _gelu_backward(g_x2 @ w2.data.T, Z, e)
+        g_G = g_Z @ w1.data.T
+        g_G += g_x2
+        g_x1, g_ln1_gain, g_ln1_bias = _layer_norm_backward(
+            g_G, ln1_gain.data, xhat1, inv1, out=g_G)
+        g_qkv = _attention_backward(g_x1 @ wo.data.T, qkv, ctx, E, r, heads)
+        if H.requires_grad:
+            g_H = g_qkv @ wqkv.data.T
+            g_H += g_x1
+            _accumulate(grads, H, g_H)
+        for p, piece in ((wqkv, H.data.T @ g_qkv), (wo, ctx.T @ g_x1),
+                         (w1, G.T @ g_Z), (b1, g_Z.sum(axis=0)),
+                         (w2, U.T @ g_x2), (b2, g_x2.sum(axis=0)),
+                         (ln1_gain, g_ln1_gain), (ln1_bias, g_ln1_bias),
+                         (ln2_gain, g_ln2_gain), (ln2_bias, g_ln2_bias)):
+            _accumulate(grads, p, piece)
+
+    return _result(out, (H, *weights), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -579,30 +722,35 @@ def span_combine(values: Tensor, spans: list[tuple[int, int]], scores: Tensor) -
             f"span_combine: values {values.shape} need scores of shape ({n},), "
             f"got {scores.shape}"
         )
-    out = np.empty((len(spans), values.shape[1]), dtype=np.float64)
-    weights = []
-    for i, (o, p) in enumerate(spans):
-        if not (0 <= o < p <= n):
-            raise ShapeMismatch(f"span_combine: span ({o}, {p}) invalid for {n} rows")
-        raw = scores.data[o:p]
-        e = np.exp(raw - raw.max())
-        w = e / e.sum()
-        out[i] = w @ values.data[o:p]
-        weights.append(w)
+    bounds = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    starts, stops = bounds[:, 0], bounds[:, 1]
+    bad = (starts < 0) | (stops <= starts) | (stops > n)
+    if bad.any():
+        o, p = bounds[bad][0]
+        raise ShapeMismatch(f"span_combine: span ({o}, {p}) invalid for {n} rows")
+    # every span's rows one after another: span i is idx[first[i]:first[i] + lengths[i]]
+    lengths = stops - starts
+    first = np.cumsum(lengths) - lengths
+    idx = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
+    raw = scores.data[idx]
+    w = np.exp(raw - np.repeat(np.maximum.reduceat(raw, first), lengths))
+    w /= np.repeat(np.add.reduceat(w, first), lengths)
+    picked = values.data[idx]
+    picked *= w[:, None]
+    out = np.add.reduceat(picked, first, axis=0)
 
     def back(g, grads):
+        g_rows = np.repeat(g, lengths, axis=0)  # each picked row's output gradient
         if values.requires_grad:
             gv = np.zeros_like(values.data)
-            for (o, p), w, g_row in zip(spans, weights, g):
-                gv[o:p] += np.outer(w, g_row)
+            np.add.at(gv, idx, g_rows * w[:, None])
             _accumulate(grads, values, gv)
         if scores.requires_grad:
-            gs = np.zeros_like(scores.data)
-            for (o, p), w, g_row in zip(spans, weights, g):
-                # softmax backward within the span: w * (g_w - sum(g_w * w))
-                g_w = values.data[o:p] @ g_row
-                gs[o:p] += w * (g_w - (g_w * w).sum())
-            _accumulate(grads, scores, gs)
+            # softmax backward within each span: w * (g_w - sum(g_w * w))
+            g_w = np.einsum("ij,ij->i", values.data[idx], g_rows)
+            g_w -= np.repeat(np.add.reduceat(g_w * w, first), lengths)
+            g_w *= w
+            _accumulate(grads, scores, np.bincount(idx, weights=g_w, minlength=n))
 
     return _result(out, (values, scores), back)
 
@@ -703,12 +851,20 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
             )
         m = state.m[name]
         v = state.v[name]
+        # p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p), op for op, in two buffers
+        tmp = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += tmp
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        mhat = m / bc1
-        vhat = v / bc2
-        p.data -= state.learning_rate * (
-            mhat / (np.sqrt(vhat) + state.epsilon) + state.weight_decay * p.data
-        )
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.epsilon
+        step = m / bc1
+        step /= tmp
+        np.multiply(p.data, state.weight_decay, out=tmp)
+        step += tmp
+        step *= state.learning_rate
+        p.data -= step

@@ -8,7 +8,8 @@ One layer computes, in post-norm residual order:
 with every head's projections Q, K, V = H Wqkv from one fused matrix,
 scaled-dot attention softmax(Q K^T / sqrt(d_k)) V, head concatenation
 through Wo, and a two-layer GELU feed-forward (``Mlp``, which also serves
-as the detection and MLM heads). The token encoder adds token + learned
+as the detection and MLM heads); each layer runs as one
+``tensor.encoder_layer`` op. The token encoder adds token + learned
 absolute position embeddings to one unpadded segment; the statement
 encoder prepends a learnable program-summary row to the statement vectors.
 """
@@ -107,6 +108,10 @@ class _Layer:
         for name in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
             yield f"{prefix}.{name}", getattr(self, name)
 
+    def weights(self) -> tuple[Tensor, ...]:
+        """The layer's tensors in ``tensor.encoder_layer``'s order."""
+        return tuple(p for _, p in self.parameters(""))
+
 
 class EncoderStack:
     """The shared layer stack; input and output are [len x hidden]."""
@@ -121,11 +126,7 @@ class EncoderStack:
 
     def forward(self, H: Tensor, attention_sink: list | None = None) -> Tensor:
         for layer in self.layers:
-            mixed = T.multi_head_attention(
-                H, layer.wqkv, self.cfg.heads, attention_sink
-            ) @ layer.wo
-            G = T.layer_norm(H + mixed, layer.ln1_gain, layer.ln1_bias)
-            H = T.layer_norm(G + layer.ffn(G), layer.ln2_gain, layer.ln2_bias)
+            H = T.encoder_layer(H, layer.weights(), self.cfg.heads, attention_sink)
         return H
 
 

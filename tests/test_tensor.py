@@ -431,6 +431,32 @@ class TestAdamW:
         assert state.t == 3
         assert np.max(np.abs(p.data - ref)) < 1e-12
 
+    def test_three_steps_with_decay_are_the_old_formulas_bits(self, rng):
+        def old_step(p, g, m, v, t, lr, b1, b2, eps, wd):
+            # the update as written before it reused two buffers
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            mhat = m / (1.0 - b1 ** t)
+            vhat = v / (1.0 - b2 ** t)
+            p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
+
+        hyper = dict(lr=0.05, b1=0.9, b2=0.999, eps=1e-8, wd=0.02)
+        data = rng.normal(size=(5, 4))
+        grads = [rng.normal(size=(5, 4)) for _ in range(3)]
+        ref, m, v = data.copy(), np.zeros_like(data), np.zeros_like(data)
+        p = T.parameter(data.copy())
+        state = OptimizerState(learning_rate=hyper["lr"], beta1=hyper["b1"],
+                               beta2=hyper["b2"], epsilon=hyper["eps"],
+                               weight_decay=hyper["wd"])
+        for t, g in enumerate(grads, start=1):
+            old_step(ref, g, m, v, t, **hyper)
+            p.grad = g.copy()
+            adamw_step({"p": p}, state)
+            assert np.array_equal(p.data, ref)
+        assert np.array_equal(state.m["p"], m) and np.array_equal(state.v["p"], v)
+
     def test_shape_congruence_error(self):
         p = T.parameter(np.zeros((2, 2)))
         state = OptimizerState()
@@ -438,6 +464,21 @@ class TestAdamW:
         q = T.parameter(np.zeros((3, 3)))
         with pytest.raises(ShapeMismatch):
             adamw_step({"p": q}, state)
+
+
+def span_combine_loop(values, spans, scores, upstream):
+    """``span_combine``'s output and its gradients for ``upstream``, one
+    span at a time: the loop the vectorized op replaced."""
+    out = np.empty((len(spans), values.shape[1]))
+    gv, gs = np.zeros_like(values), np.zeros_like(scores)
+    for i, (o, p) in enumerate(spans):
+        e = np.exp(scores[o:p] - scores[o:p].max())
+        w = e / e.sum()
+        out[i] = w @ values[o:p]
+        gv[o:p] += np.outer(w, upstream[i])
+        g_w = values[o:p] @ upstream[i]
+        gs[o:p] += w * (g_w - (g_w * w).sum())
+    return out, gv, gs
 
 
 class TestTensorInvariants:
@@ -462,6 +503,24 @@ class TestTensorInvariants:
         # row 0 lies in no span; a lone row's weight is 1 whatever its score
         assert not values.grad[0].any() and scores.grad[0] == 0.0
         assert np.max(np.abs(scores.grad[4])) < 1e-12
+
+    @pytest.mark.parametrize("spans", [
+        [(0, 3), (3, 4), (4, 9)],
+        [(1, 3), (5, 6), (6, 9)],  # rows 0 and 3-4 lie in no span
+        [(0, 9)],
+        [(2, 5), (0, 4)],  # overlapping, out of order
+    ])
+    def test_span_combine_matches_per_span_loop(self, rng, spans):
+        values = T.parameter(rng.normal(size=(9, 4)))
+        scores = T.parameter(rng.normal(size=9))
+        upstream = rng.normal(size=(len(spans), 4))
+        out = T.span_combine(values, spans, scores)
+        T.mul(out, T.constant(upstream)).sum().backward()
+        want_out, want_gv, want_gs = span_combine_loop(
+            values.data, spans, scores.data, upstream)
+        assert np.max(np.abs(out.data - want_out)) < 1e-12
+        assert np.max(np.abs(values.grad - want_gv)) < 1e-12
+        assert np.max(np.abs(scores.grad - want_gs)) < 1e-12
 
     def test_span_combine_zero_scores_give_span_means(self, rng):
         values = T.constant(rng.normal(size=(7, 3)))

@@ -1,6 +1,7 @@
 """Encoder stack contracts: shapes, oracles, gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,110 @@ class TestMultiHeadAttention:
         for att in sink[0]:
             assert att.shape == (5, 5)
             assert np.max(np.abs(att.sum(axis=1) - 1.0)) < 1e-12
+
+
+def chain_layer(H, layer, heads, sink=None):
+    """One layer as the per-op chain the fused op replaces."""
+    mixed = T.multi_head_attention(H, layer.wqkv, heads, sink) @ layer.wo
+    G = T.layer_norm(H + mixed, layer.ln1_gain, layer.ln1_bias)
+    return T.layer_norm(G + layer.ffn(G), layer.ln2_gain, layer.ln2_bias)
+
+
+def random_layer(rng, heads, hidden=8, ffn_hidden=16):
+    """One encoder layer with every tensor drawn at random, so that no
+    gain of 1 or bias of 0 hides a wrong gradient."""
+    cfg = EncoderConfig(layers=1, hidden=hidden, heads=heads, ffn_hidden=ffn_hidden)
+    layer = EncoderStack(cfg, rng).layers[0]
+    for p in layer.weights():
+        p.data[...] = rng.normal(0.0, 0.5, p.shape)
+    return layer, cfg
+
+
+def layer_grads(H, layer, run):
+    """Zero the grads of ``H`` and the layer's tensors, back-propagate
+    ``run()``, and return the 11 gradients."""
+    tensors = (H, *layer.weights())
+    for p in tensors:
+        p.zero_grad()
+    run().backward()
+    return [p.grad.copy() for p in tensors]
+
+
+class TestEncoderLayer:
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_matches_chain_and_straight_line(self, rng, heads, n):
+        layer, cfg = random_layer(rng, heads)
+        H = T.parameter(rng.normal(size=(n, cfg.hidden)))
+        upstream = T.constant(rng.normal(size=(n, cfg.hidden)))
+        fused = T.encoder_layer(H, layer.weights(), heads)
+        chain = chain_layer(H, layer, heads)
+        expected = straight_line_stack(H.data, [layer], cfg.head_dim)
+        assert np.max(np.abs(fused.data - chain.data)) < 1e-12
+        assert np.max(np.abs(fused.data - expected)) < 1e-12
+        got = layer_grads(H, layer, lambda: T.mul(
+            T.encoder_layer(H, layer.weights(), heads), upstream).sum())
+        want = layer_grads(H, layer, lambda: T.mul(
+            chain_layer(H, layer, heads), upstream).sum())
+        assert len(got) == 11
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) < 1e-12 * max(1.0, np.max(np.abs(w)))
+
+    def test_finite_differences_on_toy(self, rng):
+        layer, _ = random_layer(rng, TOY.heads, TOY.hidden, TOY.ffn_hidden)
+        H = T.parameter(rng.normal(size=(6, TOY.hidden)))
+        params = {"H": H, **dict(layer.parameters("layer"))}
+
+        def loss():
+            return T.tanh(T.encoder_layer(H, layer.weights(), TOY.heads)).sum()
+
+        layer_grads(H, layer, loss)
+        failures = finite_difference_failures(lambda: loss().item(), params, rng,
+                                              elements_per_tensor=4,
+                                              head_dim=TOY.head_dim)
+        assert failures == []
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_no_grad_output_and_maps_are_the_graph_bits(self, rng, heads):
+        layer, cfg = random_layer(rng, heads)
+        H = T.parameter(rng.normal(size=(9, cfg.hidden)))
+        graph_maps, plain_maps = [], []
+        graph = T.encoder_layer(H, layer.weights(), heads, graph_maps)
+        with T.no_grad():
+            plain = T.encoder_layer(H, layer.weights(), heads, plain_maps)
+        assert graph._backward is not None and plain._backward is None
+        assert np.array_equal(plain.data, graph.data)
+        assert [len(maps) for maps in plain_maps] == [heads]
+        for got, want in zip(plain_maps[0], graph_maps[0]):
+            assert np.array_equal(got, want)
+        chain_maps = []
+        chain_layer(H, layer, heads, chain_maps)
+        for got, want in zip(graph_maps[0], chain_maps[0]):
+            assert np.array_equal(got, want)
+
+    def test_shape_checked(self, rng):
+        layer, cfg = random_layer(rng, 2)
+        with pytest.raises(T.ShapeMismatch, match="encoder_layer"):
+            T.encoder_layer(T.constant(np.zeros((5, 4))), layer.weights(), 2)
+        with pytest.raises(T.ShapeMismatch, match="encoder_layer"):
+            T.encoder_layer(T.constant(np.zeros((5, 8))), layer.weights(), 5)
+
+    def test_no_grad_segment_peak_memory(self):
+        # a 512-token desk-preset segment under no_grad, the unit of work
+        # of each thread of predict: the chain of per-op graph nodes this op
+        # replaced peaked at 4,267,216 bytes here
+        cfg = preset_config("desk-2x64x4", vocab_size=50)
+        enc = TokenEncoder(cfg, np.random.default_rng(0))
+        ids = np.random.default_rng(1).integers(0, 50, size=512)
+        with T.no_grad():
+            enc.forward(ids)
+            tracemalloc.start()
+            try:
+                enc.forward(ids)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 4_267_216
 
 
 @pytest.fixture
