@@ -57,6 +57,8 @@ def load_tensors(directory: str) -> dict[str, np.ndarray]:
                 name, shape_s, offset_s = line.split("\t")
                 shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
                 offset = int(offset_s)
+                if min(shape, default=0) < 0:
+                    raise ValueError(f"negative extent in shape {shape_s!r}")
             except ValueError as exc:
                 raise CheckpointError(f"{manifest_path} line {number}: {exc}") from exc
             if offset != end:

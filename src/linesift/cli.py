@@ -25,6 +25,7 @@ from .finetune import (
     DetectionHeads,
     FinetuneResult,
     FinetuneSchedule,
+    coarse_metrics,
     finetune_run,
     predict,
     read_histories,
@@ -305,10 +306,7 @@ def cmd_finetune(args) -> int:
     if os.path.isdir(best_dir):
         model, vocab, arrays, meta = _load_model(best_dir)
         heads = _load_heads(model, arrays, {"threshold": args.threshold})
-    labels = [e.label for e in eval_enc]
-    predictions = [predict(e, model, heads).coarse_label for e in eval_enc]
-    counts = metrics_mod.ConfusionCounts.from_predictions(labels, predictions)
-    report = metrics_mod.classification_metrics(counts)
+    report = coarse_metrics(eval_enc, model, heads)
     report["best_epoch"] = result.best_epoch
     report["train_skipped"] = skipped_tr
     with open(os.path.join(args.out, "metrics.json"), "w") as fh:

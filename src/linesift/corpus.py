@@ -25,7 +25,6 @@ __all__ = [
     "truncation_stats",
     "format_stats_table",
     "convert_csv_corpus",
-    "synthesize_corpus",
 ]
 
 
@@ -254,61 +253,3 @@ def convert_csv_corpus(
             samples.append(sample)
     save_corpus(samples, out_path)
     return len(samples)
-
-
-def bundled_corpus_path() -> str:
-    """Path of the packaged 32-sample synthetic corpus."""
-    import importlib.resources as resources
-
-    return str(resources.files("linesift").joinpath("data/tiny_corpus.jsonl"))
-
-
-_FILLER_LINES = (
-    "a = a + {k} ;",
-    "b = b - {k} ;",
-    "int v{k} = a * b ;",
-    "if ( a > {k} ) b ++ ;",
-    "b = b ^ {k} ;",
-    "a = a % {k} ;",
-    "count += {k} ;",
-)
-
-_MARKER_LINE = "strcpy ( buf , input ) ;"
-
-
-def synthesize_corpus(
-    n: int = 32, seed: int = 7, vulnerable_fraction: float = 0.5
-) -> list[FunctionSample]:
-    """Deterministic toy corpus with planted vulnerable marker lines.
-
-    Half the functions (by default) contain one `strcpy` call line and are
-    labeled vulnerable with that line as the fine-grained ground truth; the
-    rest are benign arithmetic. Separable by construction, which is what the
-    overfit and staged-gating checks need.
-    """
-    rng = np.random.default_rng(seed)
-    samples = []
-    n_vul = int(round(n * vulnerable_fraction))
-    for i in range(n):
-        vul = i < n_vul
-        body_len = int(rng.integers(5, 9))
-        lines = [f"int fn{i} ( int a , int b ) {{", "char buf [ 8 ] ;"]
-        for _ in range(body_len):
-            template = _FILLER_LINES[int(rng.integers(0, len(_FILLER_LINES)))]
-            lines.append(template.format(k=int(rng.integers(1, 60))))
-        vul_lines: frozenset[int] = frozenset()
-        if vul:
-            pos = int(rng.integers(2, len(lines)))
-            lines.insert(pos, _MARKER_LINE)
-            vul_lines = frozenset({pos + 1})
-        lines.append("return a ;")
-        lines.append("}")
-        samples.append(FunctionSample(
-            id=f"syn{i:03d}",
-            code="\n".join(lines),
-            label=int(vul),
-            vul_lines=vul_lines,
-        ))
-    # interleave so any prefix is label-mixed
-    order = rng.permutation(n)
-    return [samples[j] for j in order]

@@ -8,7 +8,6 @@ segment boundaries used by the long-sequence pipeline.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -178,17 +177,6 @@ class EncodedSample:
             label=self.label,
             vul_flags=self.vul_flags.copy(),
         )
-
-    def to_debug_json(self) -> str:
-        return json.dumps({
-            "id": self.id,
-            "token_ids": [int(t) for t in self.token_ids],
-            "line_spans": [list(s) for s in self.line_spans],
-            "orig_lines": self.orig_lines,
-            "label": self.label,
-            "vul_flags": [int(v) for v in self.vul_flags],
-            "segment_boundaries": [list(b) for b in self.segment_boundaries],
-        })
 
 
 def _boundaries(n: int) -> list[tuple[int, int]]:

@@ -38,6 +38,7 @@ __all__ = [
     "sample_losses",
     "finetune_loss",
     "predict",
+    "coarse_metrics",
     "finetune_run",
     "resume_optimizer",
     "read_histories",
@@ -238,12 +239,15 @@ class FinetuneResult:
     epochs_run: int = 0
 
 
-def _coarse_f1(encodeds, model, heads) -> float:
+def coarse_metrics(encodeds: list[EncodedSample], model: HierarchicalModel,
+                   heads: DetectionHeads) -> dict:
+    """``classification_metrics`` of the coarse verdicts on ``encodeds``,
+    whose predicts run on the pool."""
     counts = ConfusionCounts.from_predictions(
         [enc.label for enc in encodeds],
         list(map_ordered(lambda enc: predict(enc, model, heads).coarse_label, encodeds)),
     )
-    return classification_metrics(counts)["f1"]
+    return classification_metrics(counts)
 
 
 def _trained_parameters(model, heads, schedule) -> dict[str, Tensor]:
@@ -353,7 +357,7 @@ def finetune_run(
                 )
             adamw_step(params, opt)
             result.loss_history.append((epoch, step, value))
-        f1 = _coarse_f1(evaluation, model, heads) if evaluation else float("nan")
+        f1 = coarse_metrics(evaluation, model, heads)["f1"] if evaluation else float("nan")
         result.eval_history.append((epoch, f1))
         result.epochs_run = epoch + 1
         improved = evaluation and (f1 > result.best_f1)

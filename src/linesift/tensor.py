@@ -40,7 +40,6 @@ __all__ = [
     "gather_rows",
     "embedding_lookup",
     "softmax_rows",
-    "multi_head_attention",
     "encoder_layer",
     "layer_norm",
     "gelu",
@@ -501,31 +500,6 @@ def _check_attention(op: str, H: Tensor, wqkv: Tensor, heads: int) -> None:
         raise ShapeMismatch(f"{op}: input {H.shape}, wqkv {wqkv.shape}, {heads} heads")
 
 
-def multi_head_attention(H: Tensor, wqkv: Tensor, heads: int, sink=None) -> Tensor:
-    """Scaled-dot self-attention over all heads as one op, heads concatenated.
-
-    ``wqkv`` is [d x 3*heads*d_k]: every head's query projection, then every
-    head's key projection, then every head's value projection. Head h
-    computes softmax(Q_h K_h^T / sqrt(d_k)) V_h; the [n x heads*d_k] output
-    holds the heads side by side (the output projection is left to the
-    caller). When ``sink`` is a list, one list of the per-head [n x n]
-    attention matrices is appended to it. ``encoder_layer`` runs the same
-    kernels.
-    """
-    _check_attention("multi_head_attention", H, wqkv, heads)
-    qkv = H.data @ wqkv.data
-    ctx, E, r = _attention_forward(qkv, heads, _keeps_graph((H, wqkv)), sink)
-
-    def back(g, grads):
-        g_qkv = _attention_backward(g, qkv, ctx, E, r, heads)
-        if H.requires_grad:
-            _accumulate(grads, H, g_qkv @ wqkv.data.T)
-        if wqkv.requires_grad:
-            _accumulate(grads, wqkv, H.data.T @ g_qkv)
-
-    return _result(ctx, (H, wqkv), back)
-
-
 def _layer_norm_forward(x, gain, bias, eps: float, out=None):
     """(xhat * gain + bias, xhat, inv) for the rows of ``x``, with xhat the
     normalized rows (written into ``out``, which may be ``x``) and inv the
@@ -628,11 +602,14 @@ def encoder_layer(H: Tensor, weights, heads: int, sink=None) -> Tensor:
 
     ``weights`` are (wqkv, wo, w1, b1, w2, b2, ln1_gain, ln1_bias, ln2_gain,
     ln2_bias). The result is LN2(G + gelu(G w1 + b1) w2 + b2) with
-    G = LN1(H + A wo) and A ``multi_head_attention(H, wqkv, heads, sink)``,
-    computed by the kernels of that op, ``layer_norm`` and ``gelu`` with the
-    bias adds and residuals written in place. The backward is analytic and
-    walks LN2, the feed-forward, LN1, wo and the attention in turn. When no
-    graph is kept nothing is saved for it.
+    G = LN1(H + A wo) and A the scaled-dot self-attention of every head,
+    computed by ``_attention_forward`` and the kernels of ``layer_norm`` and
+    ``gelu`` with the bias adds and residuals written in place. ``wqkv`` is
+    [d x 3*heads*d_k]: every head's query projection, then every head's key
+    projection, then every head's value projection. When ``sink`` is a list,
+    one list of the per-head [n x n] attention matrices is appended to it.
+    The backward is analytic and walks LN2, the feed-forward, LN1, wo and
+    the attention in turn. When no graph is kept nothing is saved for it.
     """
     wqkv, wo, w1, b1, w2, b2, ln1_gain, ln1_bias, ln2_gain, ln2_bias = weights
     _check_attention("encoder_layer", H, wqkv, heads)
@@ -755,12 +732,8 @@ def span_combine(values: Tensor, spans: list[tuple[int, int]], scores: Tensor) -
     return _result(out, (values, scores), back)
 
 
-def cross_entropy(logits: Tensor, targets, class_weights=None) -> Tensor:
-    """Mean over rows of -log softmax(logits)[target].
-
-    With ``class_weights`` (one weight per class) the result is the
-    weighted mean: sum_i w[t_i] * nll_i / sum_i w[t_i]. Natural log.
-    """
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean over rows of -log softmax(logits)[target]. Natural log."""
     if logits.ndim != 2:
         raise ShapeMismatch(f"cross_entropy: logits must be 2-D, got {logits.shape}")
     t = np.asarray(targets, dtype=np.int64)
@@ -775,24 +748,14 @@ def cross_entropy(logits: Tensor, targets, class_weights=None) -> Tensor:
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
     nll = logz - shifted[np.arange(n), t]
-    if class_weights is not None:
-        w = np.asarray(class_weights, dtype=np.float64)
-        if w.shape != (c,):
-            raise ShapeMismatch(
-                f"cross_entropy: class_weights shape {w.shape}, expected ({c},)"
-            )
-        per_row_w = w[t]
-    else:
-        per_row_w = np.ones(n)
-    wsum = per_row_w.sum()
-    loss = float((per_row_w * nll).sum() / wsum)
+    loss = float(nll.sum() / n)
 
     def back(g, grads):
         if logits.requires_grad:
             p = np.exp(shifted)
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(n), t] -= 1.0
-            p *= (per_row_w / wsum)[:, None]
+            p *= 1.0 / n
             _accumulate(grads, logits, p * g.reshape(()))
 
     return _result(np.asarray(loss), (logits,), back)

@@ -37,6 +37,11 @@ class EncoderConfig:
     vocab_size: int = 0
 
     def __post_init__(self):
+        for name in ("layers", "hidden", "heads", "ffn_hidden", "max_positions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} must be positive")
+        if self.vocab_size < 0:
+            raise ValueError(f"vocab_size {self.vocab_size} must not be negative")
         if self.hidden % self.heads != 0:
             raise ValueError(
                 f"hidden {self.hidden} not divisible by heads {self.heads}"

@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_encoded, pick_elements
+from conftest import bundled_corpus_path, make_encoded, pick_elements, synthesize_corpus
 from linesift import tensor as T
-from linesift.corpus import bundled_corpus_path, load_corpus, synthesize_corpus
+from linesift.corpus import load_corpus
 from linesift.encoding import build_vocab, encode
 from linesift.finetune import (
     DetectionHeads,

@@ -9,10 +9,10 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import per_head_names
+from conftest import bundled_corpus_path, per_head_names, synthesize_corpus
 from linesift import checkpoint
 from linesift.cli import main
-from linesift.corpus import bundled_corpus_path, load_corpus, synthesize_corpus, save_corpus
+from linesift.corpus import load_corpus, save_corpus
 from linesift.model import HierarchicalModel, load_bundle
 
 
@@ -341,7 +341,8 @@ class TestEvaluateCommand:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("corrupt", ["drop_m_len", "mean_pool", "bad_json"])
+    @pytest.mark.parametrize("corrupt", ["drop_m_len", "mean_pool", "bad_json",
+                                         "zero_heads", "negative_layers"])
     def test_malformed_config_exits_2(self, finetuned, corpus_path, tmp_path,
                                       capsys, corrupt):
         bundle = tmp_path / "bundle"
@@ -352,6 +353,10 @@ class TestEvaluateCommand:
             del payload["model"]["m_len"]
         elif corrupt == "mean_pool":
             payload["model"]["program_pool"] = "mean"
+        elif corrupt == "zero_heads":
+            payload["model"]["encoder"]["heads"] = 0
+        elif corrupt == "negative_layers":
+            payload["model"]["encoder"]["layers"] = -1
         text = "{not json" if corrupt == "bad_json" else json.dumps(payload)
         config_path.write_text(text)
         code = main(["evaluate", "--corpus", corpus_path,

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import synthesize_corpus
 from linesift import corpus as C
 from linesift.corpus import CorpusError, FunctionSample, SplitSpec
 
@@ -49,7 +50,7 @@ class TestLoadCorpus:
             C.load_corpus(str(path))
 
     def test_round_trip_is_content_identical(self, tmp_path, rng):
-        samples = C.synthesize_corpus(12, seed=5)
+        samples = synthesize_corpus(12, seed=5)
         p1 = tmp_path / "a.jsonl"
         p2 = tmp_path / "b.jsonl"
         C.save_corpus(samples, str(p1))
@@ -61,12 +62,12 @@ class TestLoadCorpus:
 
 class TestSplit:
     def test_default_sizes_small(self):
-        corpus = C.synthesize_corpus(10, seed=1)
+        corpus = synthesize_corpus(10, seed=1)
         tr, ev, te = C.split(corpus, SplitSpec(seed=3))
         assert (len(tr), len(ev), len(te)) == (8, 1, 1)
 
     def test_same_seed_identical_membership(self):
-        corpus = C.synthesize_corpus(30, seed=1)
+        corpus = synthesize_corpus(30, seed=1)
         a = C.split(corpus, SplitSpec(seed=9))
         b = C.split(corpus, SplitSpec(seed=9))
         for pa, pb in zip(a, b):
@@ -81,7 +82,7 @@ class TestSplit:
         assert (len(tr), len(ev), len(te)) == (150908, 18864, 18864)
 
     def test_partition_property_random_fractions(self, rng):
-        corpus = C.synthesize_corpus(40, seed=2)
+        corpus = synthesize_corpus(40, seed=2)
         for _ in range(10):
             raw = rng.dirichlet([1.0, 1.0, 1.0])
             spec = SplitSpec(raw[0], raw[1], 1.0 - raw[0] - raw[1],
@@ -93,7 +94,7 @@ class TestSplit:
             assert len(parts[0]) == int(np.floor(spec.train * len(corpus)))
 
     def test_stratified_partitions(self):
-        corpus = C.synthesize_corpus(40, seed=2)
+        corpus = synthesize_corpus(40, seed=2)
         tr, ev, te = C.split(corpus, SplitSpec(seed=1), stratify=True)
         ids = sorted(s.id for s in tr + ev + te)
         assert ids == sorted(s.id for s in corpus)
@@ -184,7 +185,7 @@ class TestConverter:
 
 class TestSynthesizedCorpus:
     def test_shape_and_labels(self):
-        samples = C.synthesize_corpus(32, seed=7)
+        samples = synthesize_corpus(32, seed=7)
         assert len(samples) == 32
         assert sum(s.label for s in samples) == 16
         for s in samples:
@@ -194,4 +195,4 @@ class TestSynthesizedCorpus:
                 assert "strcpy" in s.code.split("\n")[line - 1]
 
     def test_deterministic(self):
-        assert C.synthesize_corpus(8, seed=3) == C.synthesize_corpus(8, seed=3)
+        assert synthesize_corpus(8, seed=3) == synthesize_corpus(8, seed=3)

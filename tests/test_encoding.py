@@ -1,14 +1,13 @@
 """Tokenizer, vocabulary, encoding arithmetic, segments, correspondence."""
 
-import json
 import re
 
 import numpy as np
 import pytest
 
-from conftest import make_encoded
+from conftest import make_encoded, synthesize_corpus
 from linesift import tensor as T
-from linesift.corpus import FunctionSample, synthesize_corpus
+from linesift.corpus import FunctionSample
 from linesift.encoding import (
     CLS,
     UNK,
@@ -174,14 +173,6 @@ class TestEncode:
             enc = encode(s, v, 512)
             retained = [ln for ln, f in zip(enc.orig_lines, enc.vul_flags) if f]
             assert set(retained) == set(s.vul_lines)
-
-    def test_debug_dump_parses(self):
-        v = build_vocab([sample("x = 1 ;")], max_size=64)
-        enc = encode(sample("x = 1 ;"), v, 512)
-        dump = json.loads(enc.to_debug_json())
-        assert dump["token_ids"][0] == CLS
-        assert dump["line_spans"] == [[1, 5]]
-        assert dump["segment_boundaries"] == [[0, 5]]
 
 
 class TestSegment:

@@ -1,14 +1,16 @@
 """Detection heads, joint loss, staged prediction, training loop."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from conftest import assert_same_gradients, gradients_after, make_encoded
+from conftest import (
+    assert_same_gradients, gradients_after, make_encoded, synthesize_corpus,
+)
 from linesift import parallel
 from linesift import tensor as T
-from linesift.corpus import synthesize_corpus
 from linesift.encoding import build_vocab, encode
 from linesift.finetune import (
     DetectionHeads,
@@ -233,16 +235,22 @@ class TestPredict:
 
 def concat_rows_loss(batch, model, heads, lambda_fine, class_weights=None):
     """The batch loss as one graph over concatenated logit rows: the oracle
-    for the sum of per-sample terms."""
-    coarse_rows, fine_rows, fine_targets = [], [], []
+    for the sum of per-sample terms. The class-weighted coarse mean is the
+    mean over each class's rows, weighted by the class's share
+    w[c] * count[c] / sum_i w[t_i]."""
+    coarse_rows, fine_rows, fine_targets = {0: [], 1: []}, [], []
     for enc in batch:
         program, statements = model.encode_program(enc)
-        coarse_rows.append(heads.coarse_logits_raw(program))
+        coarse_rows[enc.label].append(heads.coarse_logits_raw(program))
         if enc.label == 1:
             fine_rows.append(heads.fine_logits_raw(statements))
             fine_targets.extend(int(v) for v in enc.vul_flags)
-    loss = T.cross_entropy(T.concat_rows(coarse_rows), [enc.label for enc in batch],
-                           class_weights)
+    weights = (1.0, 1.0) if class_weights is None else class_weights
+    total = sum(weights[enc.label] for enc in batch)
+    loss = reduce(T.add, [
+        T.scale(T.cross_entropy(T.concat_rows(rows), [c] * len(rows)),
+                weights[c] * len(rows) / total)
+        for c, rows in coarse_rows.items() if rows])
     if fine_rows and lambda_fine != 0.0:
         fine = T.cross_entropy(T.concat_rows(fine_rows), fine_targets)
         loss = loss + T.scale(fine, lambda_fine)

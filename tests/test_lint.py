@@ -1,5 +1,6 @@
-"""Static checks over the library source: every imported name is used, and
-every function reads each of its parameters.
+"""Static checks over the library source: every imported name is used,
+every function reads each of its parameters, every definition is reached
+from outside its own body, and every ``__all__`` names something defined.
 
 Neither pyflakes nor ruff is a dependency, so these stdlib ``ast`` scans are
 the project's lint. ``__init__.py`` is skipped by the import check: its
@@ -7,9 +8,11 @@ imports are the package's re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "linesift"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "linesift"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -102,3 +105,129 @@ def test_library_reads_every_parameter():
         for qualname, param, _ in unread_parameters(path.read_text())
     }
     assert found == set(UNREAD_ALLOWED)
+
+
+# (module, definition) -> why it may stay with nothing outside it calling it
+UNREFERENCED_ALLOWED = {
+    ("transformer.py", "TokenEncoder.attention_maps"):
+        "explain is to export the token attention maps through it (ROADMAP item 6)",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class and of
+    each method; dunder methods are called by the language, so they are left
+    out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(tree, strings: bool = False):
+    """(name, line) of each name the module reads, imports or looks up as an
+    attribute; with ``strings``, also each part of a dotted-name string
+    constant (``"Class.method"``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def unreferenced_definitions(library: dict[str, str], outside: list[str]) -> list[str]:
+    """``module:qualified name`` of each definition in the ``library``
+    sources (module name -> source) that nothing references: not another
+    library module (the package's re-exports included), not its own module
+    outside its own body, and no name or dotted string in the ``outside``
+    sources. Matching is by bare name, so a method counts as referenced
+    when any attribute of that name is."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    names = {name for source in outside for name, _ in _references(ast.parse(source), True)}
+    lines = {module: {} for module in trees}
+    for module, tree in trees.items():
+        for name, line in _references(tree):
+            lines[module].setdefault(name, []).append(line)
+    found = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name in names or any(name in lines[other] for other in trees if other != module):
+                continue
+            if all(node.lineno <= line <= node.end_lineno for line in lines[module].get(name, [])):
+                found.append(f"{module}:{qualname}")
+    return found
+
+
+def test_checker_flags_an_unreferenced_definition():
+    library = {
+        "a.py": (
+            "def used():\n    return helper()\n"
+            "def helper():\n    return 1\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def traced():\n    pass\n"
+            "class K:\n"
+            "    def __init__(self):\n        pass\n"
+            "    def called(self):\n        pass\n"
+            "    def orphan(self):\n        pass\n"
+        ),
+        "b.py": "from .a import used\nused().called()\n",
+    }
+    outside = ['SURFACE = {"a": ("traced", "K.__init__")}\n']
+    assert unreferenced_definitions(library, outside) == [
+        "a.py:recursive", "a.py:K.orphan",
+    ]
+
+
+def test_library_defines_nothing_unreferenced():
+    library = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    outside = [path.read_text() for path in sorted((ROOT / "benchmarks").glob("*.py"))]
+    found = unreferenced_definitions(library, outside)
+    assert sorted(found) == sorted(f"{m}:{q}" for m, q in UNREFERENCED_ALLOWED)
+
+
+def stale_exports(source: str) -> list[str]:
+    """The ``__all__`` entries that the module neither defines, assigns nor
+    imports at top level."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    exported = [elt.value for elt in node.value.elts]
+    return [name for name in exported if name not in bound]
+
+
+def test_checker_flags_a_stale_export():
+    source = (
+        "from os import path\n"
+        "A, B = 1, 2\n"
+        "def f():\n    pass\n"
+        "__all__ = ['path', 'A', 'B', 'f', 'gone', 'Missing']\n"
+    )
+    assert stale_exports(source) == ["gone", "Missing"]
+
+
+def test_every_export_is_defined():
+    found = {path.name: stale_exports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert "tensor.py" in found
+    assert {name: names for name, names in found.items() if names} == {}

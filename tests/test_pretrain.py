@@ -10,10 +10,10 @@ from conftest import (
     finite_difference_failures,
     gradients_after,
     make_encoded,
+    synthesize_corpus,
 )
 from linesift import parallel
 from linesift import tensor as T
-from linesift.corpus import synthesize_corpus
 from linesift.encoding import (
     BOS,
     EOS,

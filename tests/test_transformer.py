@@ -71,6 +71,23 @@ def per_head_attention(H, blocks):
     return T.concat_cols(heads)
 
 
+def multi_head_attention(H, wqkv, heads, sink=None):
+    """Every head's scaled-dot self-attention as one op, heads side by side
+    (the output projection is left to the caller): the attention part of
+    ``T.encoder_layer`` on the same kernels, so that the per-op chain can
+    hold the fused layer to account. ``wqkv`` and ``sink`` are as there."""
+    T._check_attention("multi_head_attention", H, wqkv, heads)
+    qkv = H.data @ wqkv.data
+    ctx, E, r = T._attention_forward(qkv, heads, T._keeps_graph((H, wqkv)), sink)
+
+    def back(g, grads):
+        g_qkv = T._attention_backward(g, qkv, ctx, E, r, heads)
+        T._accumulate(grads, H, g_qkv @ wqkv.data.T)
+        T._accumulate(grads, wqkv, H.data.T @ g_qkv)
+
+    return T._result(ctx, (H, wqkv), back)
+
+
 def attention_params(rng, hidden, std=0.5):
     return T.parameter(rng.normal(0.0, std, (hidden, 3 * hidden)))
 
@@ -88,7 +105,7 @@ class TestMultiHeadAttention:
         T.mul(ref, upstream).sum().backward()
         ref_grad_h = H.grad
         H.zero_grad()
-        out = T.multi_head_attention(H, wqkv, heads)
+        out = multi_head_attention(H, wqkv, heads)
         T.mul(out, upstream).sum().backward()
         assert np.max(np.abs(out.data - ref.data)) < 1e-12
         assert np.max(np.abs(H.grad - ref_grad_h)) < 1e-12
@@ -101,9 +118,9 @@ class TestMultiHeadAttention:
         H = T.parameter(rng.normal(size=(9, 8)))
         wqkv = attention_params(rng, 8)
         graph_maps, plain_maps = [], []
-        graph = T.multi_head_attention(H, wqkv, heads, graph_maps)
+        graph = multi_head_attention(H, wqkv, heads, graph_maps)
         with T.no_grad():
-            plain = T.multi_head_attention(H, wqkv, heads, plain_maps)
+            plain = multi_head_attention(H, wqkv, heads, plain_maps)
         assert graph._backward is not None and plain._backward is None
         assert np.max(np.abs(plain.data - graph.data)) < 1e-12
         assert [len(maps) for maps in plain_maps] == [heads]
@@ -116,7 +133,7 @@ class TestMultiHeadAttention:
         params = {"H": H, "wqkv": wqkv}
 
         def loss():
-            return T.tanh(T.multi_head_attention(H, wqkv, TOY.heads)).sum()
+            return T.tanh(multi_head_attention(H, wqkv, TOY.heads)).sum()
 
         for p in params.values():
             p.zero_grad()
@@ -129,9 +146,9 @@ class TestMultiHeadAttention:
     def test_shape_checked(self, rng):
         H = T.constant(rng.normal(size=(5, TOY.hidden)))
         with pytest.raises(T.ShapeMismatch):
-            T.multi_head_attention(H, T.constant(np.zeros((TOY.hidden, 10))), 2)
+            multi_head_attention(H, T.constant(np.zeros((TOY.hidden, 10))), 2)
         with pytest.raises(T.ShapeMismatch):
-            T.multi_head_attention(H, T.constant(np.zeros((4, 24))), 2)
+            multi_head_attention(H, T.constant(np.zeros((4, 24))), 2)
 
     def test_layer_draws_one_block_per_head(self):
         # the per-head [d x d_k] draws of older versions, so seeds keep
@@ -146,7 +163,7 @@ class TestMultiHeadAttention:
         H = T.constant(rng.normal(size=(5, TOY.hidden)))
         wqkv = attention_params(rng, TOY.hidden)
         sink = []
-        T.multi_head_attention(H, wqkv, TOY.heads, sink)
+        multi_head_attention(H, wqkv, TOY.heads, sink)
         assert len(sink) == 1 and len(sink[0]) == TOY.heads
         for att in sink[0]:
             assert att.shape == (5, 5)
@@ -155,7 +172,7 @@ class TestMultiHeadAttention:
 
 def chain_layer(H, layer, heads, sink=None):
     """One layer as the per-op chain the fused op replaces."""
-    mixed = T.multi_head_attention(H, layer.wqkv, heads, sink) @ layer.wo
+    mixed = multi_head_attention(H, layer.wqkv, heads, sink) @ layer.wo
     G = T.layer_norm(H + mixed, layer.ln1_gain, layer.ln1_bias)
     return T.layer_norm(G + layer.ffn(G), layer.ln2_gain, layer.ln2_bias)
 
