@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 __all__ = [
@@ -134,11 +135,19 @@ def sweep_topk(records: list[LocalizationRecord],
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    """One header row, then ``rows``, as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """One header row, then ``rows``, as CSV. They are written to a
+    temporary sibling that then replaces ``path``, so a write that is
+    killed or fails midway leaves the old file whole."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def export_heatmap(report, code: str) -> list[dict]:

@@ -99,7 +99,16 @@ class HierarchicalModel:
         return {name: p.data for name, p in self.parameters().items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        checkpoint.load_into(self.parameters().items(), arrays)
+        """Set every parameter from ``arrays``. A ``te.``/``t2s.``/``se.``
+        array that the model has no parameter for is rejected too: it means
+        the config describes another model than the one the arrays hold."""
+        params = self.parameters()
+        for name in arrays:
+            if name.startswith(("te.", "t2s.", "se.")) and name not in params:
+                raise checkpoint.CheckpointError(
+                    f"checkpoint tensor {name!r} is not a parameter of the model "
+                    f"its config describes")
+        checkpoint.load_into(params.items(), arrays)
 
     # -- forward --------------------------------------------------------------
 

@@ -424,41 +424,63 @@ def _head_views(a: np.ndarray, heads: int) -> list[np.ndarray]:
     return [_split_heads(a[:, i * width:(i + 1) * width], heads) for i in range(3)]
 
 
+# Query rows scored at a time, and the largest score bound |S_ij| <=
+# |q_i| |k_j| for which exp(S) needs no row-max shift: exp(+-300) is a
+# normal float far from overflow, even summed over any segment's keys.
+_TILE = 128
+_EXP_BOUND = 300.0
+
+
 def _attention_forward(qkv: np.ndarray, heads: int, keep: bool, sink):
     """Every head's scaled-dot attention on the projection ``qkv``.
 
-    Head h's context is (E_h V_h) * r_h, where E_h = exp(S_h - rowmax S_h)
-    are the unnormalized weights of its scores S_h = Q_h K_h^T / sqrt(d_k)
-    and r_h their reciprocal row sums; the weights themselves are never
-    normalized. The score scale is folded into the queries, in place in
-    ``qkv``. Returns the [n x heads*d_k] context (heads side by side), the
-    [heads x n x n] block of E and the [heads x n x 1] block of r. With
-    ``keep`` all heads are scored at once into E, which the backward keeps;
-    without, one at a time in one [n x n] buffer, and E is None. A list
-    ``sink`` gets one list of the per-head normalized weights.
+    Head h's context is (E_h V_h) * r_h, where E_h = exp(S_h - m_h) are the
+    unnormalized weights of its scores S_h = Q_h K_h^T / sqrt(d_k) and r_h
+    their reciprocal row sums; the weights themselves are never normalized.
+    The shift m_h is 0 when the bound max|q_i| max|k_j| on the head's
+    scores is at most ``_EXP_BOUND``, and the row max otherwise. The row
+    sums come out of the value matmul, as the last column of E_h [V_h, 1].
+    The score scale is folded into the queries, in place in ``qkv``. Each
+    head is scored in ``_TILE``-row query tiles: with ``keep`` into its
+    slice of one [heads x n x n] block of E, which the backward keeps;
+    without, into one reused [_TILE x n] buffer, and E is None. Both run the
+    same matmuls on the same shapes, so they give the same bits. Returns the
+    [n x heads*d_k] context (heads side by side), E and the [heads x n x 1]
+    block of r. A list ``sink`` gets one list of the per-head normalized
+    weights.
     """
     n = qkv.shape[0]
     q, k, v = _head_views(qkv, heads)
     dk = q.shape[2]
     q *= 1.0 / math.sqrt(dk)
+    # written as "not within the bound", so that a NaN bound shifts too
+    shift = ~(np.einsum("hij,hij->hi", q, q).max(axis=1)
+              * np.einsum("hij,hij->hi", k, k).max(axis=1) <= _EXP_BOUND ** 2)
+    v1 = np.ones((n, dk + 1))
     ctx = np.empty((n, heads * dk))
     c = _split_heads(ctx, heads)
     r = np.empty((heads, n, 1))
     E = np.empty((heads, n, n)) if keep else None
-    e = E if keep else np.empty((1, n, n))
-    maps = []
-    for h in range(0, heads, len(e)):
-        hs = slice(h, h + len(e))
-        np.matmul(q[hs], k[hs].transpose(0, 2, 1), out=e)
-        e -= e.max(axis=2, keepdims=True)
-        np.exp(e, out=e)
-        np.reciprocal(e.sum(axis=2, keepdims=True), out=r[hs])
-        if sink is not None:
-            maps.extend(e * r[hs])
-        np.matmul(e, v[hs], out=c[hs])
-    c *= r
+    buf = None if keep else np.empty((min(n, _TILE), n))
+    ev = np.empty((min(n, _TILE), dk + 1))
+    maps = None if sink is None else np.empty((heads, n, n))
+    for h in range(heads):
+        v1[:, :dk] = v[h]
+        for t in range(0, n, _TILE):
+            m = min(_TILE, n - t)
+            rows = slice(t, t + m)
+            e = E[h, rows] if keep else buf[:m]
+            np.matmul(q[h, rows], k[h].T, out=e)
+            if shift[h]:
+                e -= e.max(axis=1, keepdims=True)
+            np.exp(e, out=e)
+            np.matmul(e, v1, out=ev[:m])
+            np.reciprocal(ev[:m, dk:], out=r[h, rows])
+            np.multiply(ev[:m, :dk], r[h, rows], out=c[h, rows])
+            if maps is not None:
+                np.divide(e, ev[:m, dk:], out=maps[h, rows])
     if sink is not None:
-        sink.append(maps)
+        sink.append(list(maps))
     return ctx, E, r
 
 
@@ -468,8 +490,9 @@ def _attention_backward(g_ctx, qkv, ctx, E, r, heads: int) -> np.ndarray:
     With P = E * r the weights and C = P V the context, dV = E^T (r dC), and
     the softmax backward dS = P * (dC V^T - rowsum(dC * C)) is
     E * ([r dC, -r delta] @ [V, 1]^T) with delta = rowsum(dC * C): the row
-    correction rides in the matmul. Only dS is [n x n]; the heads take
-    turns in one buffer for it.
+    correction rides in the matmul. These hold for any shift of E, since
+    they use E and r together. Only dS is [n x n]; the heads take turns in
+    one buffer for it.
     """
     n = qkv.shape[0]
     q, k, v = _head_views(qkv, heads)

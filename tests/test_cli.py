@@ -342,7 +342,7 @@ class TestEvaluateCommand:
         assert code == 2
 
     @pytest.mark.parametrize("corrupt", ["drop_m_len", "mean_pool", "bad_json",
-                                         "zero_heads", "negative_layers"])
+                                         "zero_heads", "negative_layers", "one_layer"])
     def test_malformed_config_exits_2(self, finetuned, corpus_path, tmp_path,
                                       capsys, corrupt):
         bundle = tmp_path / "bundle"
@@ -357,12 +357,16 @@ class TestEvaluateCommand:
             payload["model"]["encoder"]["heads"] = 0
         elif corrupt == "negative_layers":
             payload["model"]["encoder"]["layers"] = -1
+        elif corrupt == "one_layer":  # a well-formed config that drops a stored layer
+            assert payload["model"]["encoder"]["layers"] == 2
+            payload["model"]["encoder"]["layers"] = 1
         text = "{not json" if corrupt == "bad_json" else json.dumps(payload)
         config_path.write_text(text)
         code = main(["evaluate", "--corpus", corpus_path,
                      "--checkpoint", str(bundle), "--out", str(tmp_path / "ev")])
         assert code == 2
-        assert str(config_path) in capsys.readouterr().err
+        named = "'se.layer1." if corrupt == "one_layer" else str(config_path)
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, shape", [
         ("te.layer0.wo", None), ("heads.dnet_w2", None), ("heads.stmt_w2", (256, 3)),

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -136,6 +137,20 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [(float(r["k_percent"]), float(r["topk_accuracy"])) for r in rows] \
             == curve
+
+    def test_csv_write_failing_midway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        write_csv(str(path), ["step", "loss"], [(1, 0.5), (2, 0.25)])
+        old = path.read_bytes()
+
+        def rows():
+            yield (1, 0.5)
+            raise RuntimeError("killed mid-write")
+
+        with pytest.raises(RuntimeError, match="killed mid-write"):
+            write_csv(str(path), ["step", "loss"], rows())
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["loss.csv"]
 
 
 class TestHeatmap:

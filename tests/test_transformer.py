@@ -274,6 +274,127 @@ class TestEncoderLayer:
         assert peak <= 4_267_216
 
 
+def score_bounds(H, wqkv, heads):
+    """Each head's bound max_i |q_i| * max_j |k_j| on its scores, with q
+    scaled by 1/sqrt(d_k), from the blocks of ``wqkv``."""
+    dk = wqkv.shape[1] // (3 * heads)
+    return np.array([np.linalg.norm(H @ wq, axis=1).max() / math.sqrt(dk)
+                     * np.linalg.norm(H @ wk, axis=1).max()
+                     for wq, wk, _ in head_blocks(wqkv, heads)])
+
+
+def near_rows(rng, n, hidden):
+    """Rows close to one common row: scores with a large common part in each
+    row, which the softmax ignores, so a head can score far past the bound
+    without its weights going one-hot."""
+    return rng.normal(0.0, 4.0, (1, hidden)) + rng.normal(0.0, 0.05, (n, hidden))
+
+
+def past_the_bound(H, wqkv, heads, bound):
+    """Scale head 0's query block so that its score bound is ``bound``, and
+    check that every other head stays on the shift-free path."""
+    dk = wqkv.shape[1] // (3 * heads)
+    wqkv[:, :dk] *= bound / score_bounds(H, wqkv, heads)[0]
+    bounds = score_bounds(H, wqkv, heads)
+    assert bounds[0] > T._EXP_BOUND >= bounds[1:].max()
+
+
+def oracle_weights(H, wqkv, heads):
+    """Each head's softmax weights, row-max shifted, in plain numpy."""
+    dk = wqkv.shape[1] // (3 * heads)
+    maps = []
+    for wq, wk, _ in head_blocks(wqkv, heads):
+        s = (H @ wq) @ (H @ wk).T / math.sqrt(dk)
+        w = np.exp(s - s.max(axis=1, keepdims=True))
+        maps.append(w / w.sum(axis=1, keepdims=True))
+    return maps
+
+
+class TestAttentionTiles:
+    """Query tiles of ``T._TILE`` rows, and both exponent paths: shift-free
+    for heads whose score bound is at most ``T._EXP_BOUND``, row-max shifted
+    for the others."""
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_both_paths_match_oracles(self, rng, n):
+        heads = 4
+        layer, cfg = random_layer(rng, heads, hidden=16)
+        H = T.parameter(near_rows(rng, n, cfg.hidden))
+        past_the_bound(H.data, layer.wqkv.data, heads, 2 * T._EXP_BOUND)
+        E = T._attention_forward(H.data @ layer.wqkv.data, heads, True, None)[1]
+        assert (E[0].max(axis=1) == 1.0).all()  # shifted: each row's max is exp(0)
+        assert (E[1:].max(axis=2) != 1.0).all()  # unshifted
+        expected = straight_line_stack(H.data, [layer], cfg.head_dim)
+        graph_maps, plain_maps = [], []
+        graph = T.encoder_layer(H, layer.weights(), heads, graph_maps)
+        with T.no_grad():
+            plain = T.encoder_layer(H, layer.weights(), heads, plain_maps)
+        assert np.max(np.abs(graph.data - expected)) < 1e-12
+        assert np.array_equal(plain.data, graph.data)
+        for got, same, want in zip(graph_maps[0], plain_maps[0],
+                                   oracle_weights(H.data, layer.wqkv.data, heads)):
+            assert np.array_equal(got, same)
+            assert np.max(np.abs(got - want)) < 1e-12
+        # the kernel's gradients against the primitive chain's softmax
+        blocks = [tuple(T.parameter(w.copy()) for w in ws)
+                  for ws in head_blocks(layer.wqkv.data, heads)]
+        upstream = T.constant(rng.normal(size=(n, cfg.hidden)))
+        ref = per_head_attention(H, blocks)
+        T.mul(ref, upstream).sum().backward()
+        want_h = H.grad
+        H.zero_grad()
+        out = multi_head_attention(H, layer.wqkv, heads)
+        T.mul(out, upstream).sum().backward()
+        want_w = np.concatenate([blocks[h][i].grad for i in range(3)
+                                 for h in range(heads)], axis=1)
+        assert np.max(np.abs(out.data - ref.data)) < 1e-12
+        for got, want in ((H.grad, want_h), (layer.wqkv.grad, want_w)):
+            assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_finite_differences_on_toy_with_a_shifted_head(self, rng):
+        layer, _ = random_layer(rng, TOY.heads, TOY.hidden, TOY.ffn_hidden)
+        H = T.parameter(near_rows(rng, 6, TOY.hidden))
+        past_the_bound(H.data, layer.wqkv.data, TOY.heads, 1.2 * T._EXP_BOUND)
+        maps = oracle_weights(H.data, layer.wqkv.data, TOY.heads)
+        assert maps[0].max() < 0.99  # the shifted head's weights are not one-hot
+        params = {"H": H, **dict(layer.parameters("layer"))}
+
+        def loss():
+            return T.tanh(T.encoder_layer(H, layer.weights(), TOY.heads)).sum()
+
+        layer_grads(H, layer, loss)
+        failures = finite_difference_failures(lambda: loss().item(), params, rng,
+                                              elements_per_tensor=4,
+                                              head_dim=TOY.head_dim)
+        assert failures == []
+
+    def test_scores_of_about_1e3_stay_finite(self, rng):
+        heads, n = 2, 40
+        layer, cfg = random_layer(rng, heads)
+        H = T.constant(near_rows(rng, n, cfg.hidden))
+        past_the_bound(H.data, layer.wqkv.data, heads, 3e3)
+        wq, wk, _ = head_blocks(layer.wqkv.data, heads)[0]
+        scores = (H.data @ wq) @ (H.data @ wk).T / math.sqrt(cfg.head_dim)
+        assert np.abs(scores).max() > 710  # exp overflows without the shift
+        out = T.encoder_layer(H, layer.weights(), heads)
+        assert np.isfinite(out.data).all()
+        expected = straight_line_stack(H.data, [layer], cfg.head_dim)
+        assert np.max(np.abs(out.data - expected)) < 1e-12
+
+    def test_no_grad_peak_memory_below_one_score_block(self, rng):
+        # one [n x n] float64 block is 2,097,152 bytes at n = 512; scoring
+        # every head at once, or one whole head at a time, needs more
+        n, heads, dk = 512, 4, 16
+        qkv = rng.normal(size=(n, 3 * heads * dk))
+        tracemalloc.start()
+        try:
+            T._attention_forward(qkv, heads, False, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+
 @pytest.fixture
 def token_encoder(rng):
     return TokenEncoder(TOY, rng)
