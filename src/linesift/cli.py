@@ -33,6 +33,7 @@ from .finetune import (
     write_reports_jsonl,
 )
 from .model import BundleConfigError, HierarchicalModel, ModelConfig, load_bundle
+from .parallel import map_ordered
 from .pretrain import (
     DivergenceError,
     MlmHead,
@@ -337,7 +338,8 @@ def cmd_evaluate(args) -> int:
     encodeds, skipped = _encode_corpus(part, vocab, model.config.m_len)
     if not encodeds:
         raise UsageError("no encodable samples in the selected split")
-    reports = [predict(e, model, heads, k_percent=k_values[0]) for e in encodeds]
+    reports = list(map_ordered(
+        lambda e: predict(e, model, heads, k_percent=k_values[0]), encodeds))
     write_reports_jsonl(reports, os.path.join(args.out, "predictions.jsonl"))
 
     labels = [e.label for e in encodeds]

@@ -77,15 +77,18 @@ class SplitSpec:
 
 def _sample_from_record(obj: dict, lineno: int) -> FunctionSample:
     try:
+        label, code, vul_lines = obj["label"], obj["code"], list(obj.get("vul_lines", []))
         sample = FunctionSample(
-            id=str(obj["id"]),
-            code=str(obj["code"]),
-            label=int(obj["label"]),
-            vul_lines=frozenset(int(v) for v in obj.get("vul_lines", [])),
-            cwe=obj.get("cwe"),
+            id=str(obj["id"]), code=code, label=label,
+            vul_lines=frozenset(vul_lines), cwe=obj.get("cwe"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CorpusError(f"line {lineno}: bad record ({exc})") from exc
+    if not isinstance(code, str):
+        raise CorpusError(f"line {lineno}: code must be a string, got {code!r}")
+    for name, value in [("label", label)] + [("vul_line", v) for v in vul_lines]:
+        if type(value) is not int:  # bool is an int subclass; 1.7 or "1" is no integer
+            raise CorpusError(f"line {lineno}: {name} must be an integer, got {value!r}")
     try:
         sample.validate()
     except CorpusError as exc:
@@ -229,15 +232,13 @@ def convert_csv_corpus(
                 raise CorpusError(
                     f"row {rownum}: missing column {code_column!r} or {label_column!r}"
                 )
-            label = int(rec[label_column])
-            raw_lines = (rec.get(lines_column) or "").strip()
-            vul_lines = []
-            if label == 1 and raw_lines:
-                for part in raw_lines.replace(";", ",").split(","):
-                    part = part.strip()
-                    if part:
-                        idx = int(float(part))
-                        vul_lines.append(idx + 1 if zero_based_lines else idx)
+            try:
+                label = int(rec[label_column])
+                parts = (rec.get(lines_column) or "").replace(";", ",").split(",")
+                vul_lines = [int(float(part)) + (1 if zero_based_lines else 0)
+                             for part in parts if label == 1 and part.strip()]
+            except (TypeError, ValueError, OverflowError) as exc:  # "abc", "inf", short row
+                raise CorpusError(f"row {rownum}: bad cell ({exc})") from exc
             sid = rec[id_column] if id_column and rec.get(id_column) else str(rownum - 2)
             sample = FunctionSample(
                 id=sid,

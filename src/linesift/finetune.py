@@ -236,7 +236,6 @@ class FinetuneResult:
     eval_history: list = field(default_factory=list)   # (epoch, f1)
     best_f1: float = float("-inf")
     best_epoch: int = -1
-    epochs_run: int = 0
 
 
 def coarse_metrics(encodeds: list[EncodedSample], model: HierarchicalModel,
@@ -359,7 +358,6 @@ def finetune_run(
             result.loss_history.append((epoch, step, value))
         f1 = coarse_metrics(evaluation, model, heads)["f1"] if evaluation else float("nan")
         result.eval_history.append((epoch, f1))
-        result.epochs_run = epoch + 1
         improved = evaluation and (f1 > result.best_f1)
         if improved or not evaluation:
             result.best_f1 = f1 if evaluation else float("nan")

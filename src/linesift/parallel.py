@@ -7,13 +7,15 @@ independent units of work. numpy releases the GIL in matmul and ufuncs, so
 a few threads run them side by side.
 
 All maps share one process-wide pool of one thread fewer than the cores
-this process may run on, created by the first map; the calling thread
-makes up the last worker. ``taskset -c 0`` gives no pool thread, and every
-map runs inline. A map started while an item runs (a ``predict`` inside an
-evaluation's map, a sample's segments inside a training step's) runs
-inline too. OpenBLAS is held at one thread while a map runs, so that the
-threads do not oversubscribe the cores, and restored after it. Where no
-OpenBLAS thread setter is found, maps run inline.
+this process may run on, created by the first map. Each map puts a helper
+on every pool thread, and the helpers and the calling thread take items
+from one shared counter, so the calling thread makes up the last worker.
+``taskset -c 0`` gives no pool thread, and every map runs inline. A map
+started while an item runs (a ``predict`` inside an evaluation's map, a
+sample's segments inside a training step's) runs inline too. OpenBLAS is
+held at one thread while a map runs, so that the threads do not
+oversubscribe the cores, and restored after it. Where no OpenBLAS thread
+setter is found, maps run inline.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from functools import cache
 
@@ -70,14 +72,15 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 
 
 def map_ordered(fn, items):
-    """Yield ``fn(item)`` for each item, in item order, computed on the pool,
-    which runs ahead of the consumer, and on the consumer's thread. Each
-    call runs under the grad mode that the iteration begins in; an item's
-    exception is raised at that item's turn.
+    """Yield ``fn(item)`` for each item, in item order, computed on the pool's
+    threads and on the consumer's. Each call runs under the grad mode that
+    the iteration begins in; an item's exception is raised at that item's
+    turn.
 
-    While the next result is not ready, the consumer takes the last item
-    that no thread has started and runs it itself, so that no item waits
-    for a thread while the consumer idles.
+    Every thread takes the next item that no thread has taken from one
+    shared counter: the pool's threads until none is left, the consumer
+    while its next result is not ready, so that no item waits for a thread
+    while the consumer idles.
     """
     items = list(items)
     controls = _blas_thread_controls()
@@ -85,44 +88,37 @@ def map_ordered(fn, items):
         yield from map(fn, items)
         return
     grad_enabled = T._grad_mode.enabled  # thread-local: pool threads start enabled
+    indices = iter(range(len(items)))  # next() is atomic under the GIL
+    slots = [Future() for _ in items]
 
-    def run(item):
+    def run(i):
         _running.item = True
         try:
             with nullcontext() if grad_enabled else T.no_grad():
-                return fn(item)
+                slots[i].set_result(fn(items[i]))
+        except Exception as exc:  # raised at its turn
+            slots[i].set_exception(exc)
         finally:
             _running.item = False
+
+    def helper():
+        for i in indices:
+            run(i)
 
     previous = [get() for get, _ in controls]
     for _, put in controls:
         put(1)
-    pool = _pool(usable_cores() - 1)
-    futures = [pool.submit(run, item) for item in items]
-    taken: dict = {}  # index -> (value, exception) of the items run here
-    last = len(items) - 1  # items past it are started or taken
+    threads = usable_cores() - 1
+    helpers = [_pool(threads).submit(helper) for _ in range(threads)]
     try:
-        for i, future in enumerate(futures):
-            while i not in taken and not future.done() and last >= i:
-                # cancel() is also True on a future taken before, so each
-                # index is tried once, from the back
-                if futures[last].cancel():
-                    try:
-                        taken[last] = run(items[last]), None
-                    except Exception as exc:  # held until its turn
-                        taken[last] = None, exc
-                last -= 1
-            if i in taken:
-                value, exc = taken.pop(i)
-                if exc is not None:
-                    raise exc
-                yield value
-            else:
-                yield future.result()
+        for slot in slots:
+            while not slot.done() and (i := next(indices, None)) is not None:
+                run(i)
+            yield slot.result()
     finally:
-        # only items a pool thread started: wait() counts a cancelled future
-        # done only once a pool thread has dequeued it
-        wait([future for future in futures if not future.cancel()])
+        for _ in indices:  # leave no item for a helper to start
+            pass
+        wait([h for h in helpers if not h.cancel()])
         for (_, put), count in zip(controls, previous):
             put(count)
 

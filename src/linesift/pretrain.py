@@ -307,10 +307,8 @@ class PretrainSchedule:
 
 @dataclass
 class TrainState:
-    seed: int
     step: int = 0
     loss_history: list = field(default_factory=list)  # (step, phase, loss)
-    optimizer: OptimizerState | None = None
     skipped_samples: int = 0  # MLM draws with no maskable token
 
 
@@ -330,7 +328,7 @@ def pretrain_run(
     """
     if not encodeds:
         raise ValueError("pretraining corpus is empty")
-    state = TrainState(seed=schedule.seed)
+    state = TrainState()
 
     def all_arrays():
         arrays = model.state_arrays()
@@ -360,7 +358,6 @@ def pretrain_run(
             params = model.parameters()
             params.update(dict(decoder.parameters()))
         opt = OptimizerState(learning_rate=schedule.learning_rate)
-        state.optimizer = opt
         for step in range(steps):
             rng = np.random.default_rng(
                 np.random.SeedSequence([schedule.seed, phase_tag, step])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import bundled_corpus_path, per_head_names, synthesize_corpus
-from linesift import checkpoint
+from linesift import checkpoint, parallel
 from linesift.cli import main
 from linesift.corpus import load_corpus, save_corpus
 from linesift.model import HierarchicalModel, load_bundle
@@ -89,6 +89,19 @@ class TestConvert:
         samples = load_corpus(str(out / "corpus.jsonl"))
         assert len(samples) == 1
         assert (out / "run_config.json").exists()
+
+    @pytest.mark.parametrize("column, cell", [("target", "abc"), ("flaw_line_index", "x")])
+    def test_malformed_cell_exits_2_naming_the_row(self, tmp_path, capsys, column, cell):
+        csv_path = tmp_path / "in.csv"
+        rows = [{"processed_func": "a\nb", "target": "1", "flaw_line_index": "0"}] * 2
+        rows[1] = {**rows[1], column: cell}
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        code = main(["convert", "--csv", str(csv_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "row 3" in capsys.readouterr().err
 
     def test_missing_csv(self, tmp_path):
         code = main(["convert", "--csv", str(tmp_path / "nope.csv"),
@@ -412,6 +425,19 @@ class TestEvaluateCommand:
                          checkpoint_dir, "--out", str(out), "--split-part", "all"]) == 0
             predictions.append((out / "predictions.jsonl").read_bytes())
         assert predictions[0] == predictions[1]
+
+    def test_same_bytes_for_one_and_two_cores(self, finetuned, corpus_path, tmp_path,
+                                              monkeypatch):
+        written = []
+        for cores in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cores", lambda cores=cores: cores)
+            out = tmp_path / f"cores{cores}"
+            assert main(["evaluate", "--corpus", corpus_path, "--checkpoint",
+                         os.path.join(finetuned, "best"), "--out", str(out),
+                         "--split-part", "all"]) == 0
+            written.append({name: (out / name).read_bytes() for name in
+                            ("predictions.jsonl", "metrics.json", "topk.csv")})
+        assert written[0] == written[1]
 
     def test_checkpoint_without_heads_exits_2(self, corpus_path, tmp_path):
         pt = tmp_path / "pt"

@@ -43,6 +43,19 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="line 2"):
             C.load_corpus(str(path))
 
+    @pytest.mark.parametrize("field, value", [
+        ("label", 1.7), ("label", 1.0), ("label", "1"), ("label", True),
+        ("vul_lines", [2.9]), ("vul_lines", ["2"]), ("vul_lines", [False]),
+        ("code", 123), ("code", None),
+    ])
+    def test_non_integer_or_non_string_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        record = {"id": "bad", "code": "a\nb\nc", "label": 1, "vul_lines": [2]}
+        record[field] = value
+        write_jsonl(path, [{"id": "ok", "code": "x", "label": 0, "vul_lines": []}, record])
+        with pytest.raises(CorpusError, match=f"line 2: {field.rstrip('s')} must be"):
+            C.load_corpus(str(path))
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "a", "code": "x", "label": 0}\n{oops\n')

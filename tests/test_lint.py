@@ -1,6 +1,7 @@
 """Static checks over the library source: every imported name is used,
 every function reads each of its parameters, every definition is reached
-from outside its own body, and every ``__all__`` names something defined.
+from outside its own body, every dataclass field is read, and every
+``__all__`` names something defined.
 
 Neither pyflakes nor ruff is a dependency, so these stdlib ``ast`` scans are
 the project's lint. ``__init__.py`` is skipped by the import check: its
@@ -196,6 +197,60 @@ def test_library_defines_nothing_unreferenced():
     outside = [path.read_text() for path in sorted((ROOT / "benchmarks").glob("*.py"))]
     found = unreferenced_definitions(library, outside)
     assert sorted(found) == sorted(f"{m}:{q}" for m, q in UNREFERENCED_ALLOWED)
+
+
+# (module, dataclass field) -> why nothing in the library or the benchmark reads it
+UNREAD_FIELDS_ALLOWED = {
+    ("pretrain.py", "MaskedLine.action"): "criterion 4's masking statistics read it",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(ast.unparse(d.func if isinstance(d, ast.Call) else d).split(".")[-1]
+               == "dataclass" for d in node.decorator_list)
+
+
+def unread_fields(library: dict[str, str], outside: list[str]) -> list[str]:
+    """``module:Class.field`` of each field of a top-level dataclass in the
+    ``library`` sources (module name -> source) that no library or
+    ``outside`` source reads as an attribute. Matching is by bare name, so a
+    field counts as read when any attribute of that name is; assigning it
+    does not count."""
+    read = {node.attr for source in [*library.values(), *outside]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for module, source in library.items():
+        for cls in ast.parse(source).body:
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                found += [f"{module}:{cls.name}.{stmt.target.id}" for stmt in cls.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and isinstance(stmt.target, ast.Name)
+                          and stmt.target.id not in read]
+    return found
+
+
+def test_checker_flags_an_unread_field():
+    library = {"a.py": (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A:\n    read: int\n    written: int = 0\n    outside: int = 0\n"
+        "    plain = 0\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n    unread: str\n"
+        "class C:\n    annotated: int\n"
+        "def f(a):\n    a.written = a.read + a.plain\n"
+    )}
+    outside = ["def g(a):\n    return a.outside\n"]
+    assert unread_fields(library, outside) == ["a.py:A.written", "a.py:B.unread"]
+
+
+def test_library_reads_every_dataclass_field():
+    library = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    outside = [path.read_text() for path in sorted((ROOT / "benchmarks").glob("*.py"))]
+    found = unread_fields(library, outside)
+    assert sorted(found) == sorted(f"{m}:{f}" for m, f in UNREAD_FIELDS_ALLOWED)
 
 
 def stale_exports(source: str) -> list[str]:

@@ -56,7 +56,6 @@ def test_results_come_in_item_order(two_cores):
 
 @needs_blas_setter
 def test_each_item_runs_once(monkeypatch):
-    # a future the caller took still reports cancel() == True
     runs = []
 
     def item(i):
@@ -69,6 +68,25 @@ def test_each_item_runs_once(monkeypatch):
         runs.clear()
         assert list(parallel.map_ordered(item, range(12))) == list(range(12))
         assert sorted(runs) == list(range(12))
+
+
+@needs_blas_setter
+def test_caller_takes_the_next_item(two_cores):
+    caller = threading.get_ident()
+    item_1_started = threading.Event()
+    on_caller = []
+
+    def item(i):
+        if threading.get_ident() == caller:
+            on_caller.append(i)
+        if i == 1:
+            item_1_started.set()
+        elif i == 0:
+            item_1_started.wait(5)
+        return i
+
+    assert list(parallel.map_ordered(item, range(6))) == list(range(6))
+    assert on_caller[0] in (0, 1)
 
 
 @needs_blas_setter
