@@ -20,7 +20,7 @@ from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .checkpoint import CheckpointError, load_into
 from .corpus import CorpusError, SplitSpec
-from .encoding import EncodingError, Vocab, build_vocab, encode
+from .encoding import RESERVED_TOKENS, EncodingError, Vocab, build_vocab, encode
 from .finetune import (
     DetectionHeads,
     FinetuneResult,
@@ -410,8 +410,14 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    default="average", help="token-to-statement strategy")
     p.add_argument("--strategy-preset", choices=sorted(PRESETS),
                    default="desk-2x64x4", help="encoder size preset")
-    p.add_argument("--vocab-size", type=int, default=4096)
-    p.add_argument("--min-freq", type=int, default=1)
+    _add_vocab_flags(p)
+
+
+def _add_vocab_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--vocab-size", type=_bounded(int, len(RESERVED_TOKENS), open_low=True),
+                   default=4096, help="largest vocabulary, reserved tokens included")
+    p.add_argument("--min-freq", type=_bounded(int, 1), default=1,
+                   help="fewest occurrences for a token to get an id")
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
@@ -446,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vocab-size", type=int, default=4096)
-    p.add_argument("--min-freq", type=int, default=1)
+    _add_vocab_flags(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("pretrain", help="masked-statement (and token) pretraining")

@@ -77,15 +77,18 @@ class SplitSpec:
 
 def _sample_from_record(obj: dict, lineno: int) -> FunctionSample:
     try:
-        label, code, vul_lines = obj["label"], obj["code"], list(obj.get("vul_lines", []))
+        sid, label, code, cwe = obj["id"], obj["label"], obj["code"], obj.get("cwe")
+        vul_lines = list(obj.get("vul_lines", []))
         sample = FunctionSample(
-            id=str(obj["id"]), code=code, label=label,
-            vul_lines=frozenset(vul_lines), cwe=obj.get("cwe"),
+            id=sid, code=code, label=label, vul_lines=frozenset(vul_lines), cwe=cwe,
         )
     except (KeyError, TypeError) as exc:
         raise CorpusError(f"line {lineno}: bad record ({exc})") from exc
-    if not isinstance(code, str):
-        raise CorpusError(f"line {lineno}: code must be a string, got {code!r}")
+    for name, value in (("id", sid), ("code", code)):
+        if not isinstance(value, str):
+            raise CorpusError(f"line {lineno}: {name} must be a string, got {value!r}")
+    if not (cwe is None or isinstance(cwe, str)):
+        raise CorpusError(f"line {lineno}: cwe must be a string or null, got {cwe!r}")
     for name, value in [("label", label)] + [("vul_line", v) for v in vul_lines]:
         if type(value) is not int:  # bool is an int subclass; 1.7 or "1" is no integer
             raise CorpusError(f"line {lineno}: {name} must be an integer, got {value!r}")

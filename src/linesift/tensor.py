@@ -431,7 +431,18 @@ _TILE = 128
 _EXP_BOUND = 300.0
 
 
-def _attention_forward(qkv: np.ndarray, heads: int, keep: bool, sink):
+def _score_tile(q_tile, k, shift: bool, out) -> np.ndarray:
+    """exp(S_t - m_t) for the query rows ``q_tile`` against the keys ``k``,
+    written into ``out`` and returned; with ``shift``, m_t is each row's max,
+    else 0. The forward and the backward both score through here, so the
+    backward's tile has the forward's bits."""
+    np.matmul(q_tile, k.T, out=out)
+    if shift:
+        out -= out.max(axis=1, keepdims=True)
+    return np.exp(out, out=out)
+
+
+def _attention_forward(qkv: np.ndarray, heads: int, sink):
     """Every head's scaled-dot attention on the projection ``qkv``.
 
     Head h's context is (E_h V_h) * r_h, where E_h = exp(S_h - m_h) are the
@@ -441,13 +452,12 @@ def _attention_forward(qkv: np.ndarray, heads: int, keep: bool, sink):
     scores is at most ``_EXP_BOUND``, and the row max otherwise. The row
     sums come out of the value matmul, as the last column of E_h [V_h, 1].
     The score scale is folded into the queries, in place in ``qkv``. Each
-    head is scored in ``_TILE``-row query tiles: with ``keep`` into its
-    slice of one [heads x n x n] block of E, which the backward keeps;
-    without, into one reused [_TILE x n] buffer, and E is None. Both run the
-    same matmuls on the same shapes, so they give the same bits. Returns the
-    [n x heads*d_k] context (heads side by side), E and the [heads x n x 1]
-    block of r. A list ``sink`` gets one list of the per-head normalized
-    weights.
+    head is scored in ``_TILE``-row query tiles by ``_score_tile`` into one
+    reused [_TILE x n] buffer, with or without a graph: no [n x n] block of
+    E is kept, and the backward scores each tile again. Returns the
+    [n x heads*d_k] context (heads side by side), the [heads] boolean
+    shift flags and the [heads x n x 1] block of r. A list ``sink`` gets
+    one list of the per-head normalized weights.
     """
     n = qkv.shape[0]
     q, k, v = _head_views(qkv, heads)
@@ -460,8 +470,7 @@ def _attention_forward(qkv: np.ndarray, heads: int, keep: bool, sink):
     ctx = np.empty((n, heads * dk))
     c = _split_heads(ctx, heads)
     r = np.empty((heads, n, 1))
-    E = np.empty((heads, n, n)) if keep else None
-    buf = None if keep else np.empty((min(n, _TILE), n))
+    buf = np.empty((min(n, _TILE), n))
     ev = np.empty((min(n, _TILE), dk + 1))
     maps = None if sink is None else np.empty((heads, n, n))
     for h in range(heads):
@@ -469,11 +478,7 @@ def _attention_forward(qkv: np.ndarray, heads: int, keep: bool, sink):
         for t in range(0, n, _TILE):
             m = min(_TILE, n - t)
             rows = slice(t, t + m)
-            e = E[h, rows] if keep else buf[:m]
-            np.matmul(q[h, rows], k[h].T, out=e)
-            if shift[h]:
-                e -= e.max(axis=1, keepdims=True)
-            np.exp(e, out=e)
+            e = _score_tile(q[h, rows], k[h], shift[h], buf[:m])
             np.matmul(e, v1, out=ev[:m])
             np.reciprocal(ev[:m, dk:], out=r[h, rows])
             np.multiply(ev[:m, :dk], r[h, rows], out=c[h, rows])
@@ -481,18 +486,22 @@ def _attention_forward(qkv: np.ndarray, heads: int, keep: bool, sink):
                 np.divide(e, ev[:m, dk:], out=maps[h, rows])
     if sink is not None:
         sink.append(list(maps))
-    return ctx, E, r
+    return ctx, shift, r
 
 
-def _attention_backward(g_ctx, qkv, ctx, E, r, heads: int) -> np.ndarray:
-    """The gradient of ``_attention_forward`` with respect to ``qkv``.
+def _attention_backward(g_ctx, qkv, ctx, shift, r, heads: int) -> np.ndarray:
+    """The gradient of ``_attention_forward`` with respect to ``qkv``, given
+    the forward's ``ctx``, ``shift`` flags and ``r``.
 
     With P = E * r the weights and C = P V the context, dV = E^T (r dC), and
     the softmax backward dS = P * (dC V^T - rowsum(dC * C)) is
     E * ([r dC, -r delta] @ [V, 1]^T) with delta = rowsum(dC * C): the row
     correction rides in the matmul. These hold for any shift of E, since
-    they use E and r together. Only dS is [n x n]; the heads take turns in
-    one buffer for it.
+    they use E and r together. Each head walks the forward's query tiles:
+    ``_score_tile`` rebuilds the tile's E_t from q and k with the stored
+    flag, the tile's rows of dQ come out whole, and dK and dV sum over the
+    tiles. A [_TILE x n] buffer for E_t and one for dS_t are the only n-wide
+    arrays.
     """
     n = qkv.shape[0]
     q, k, v = _head_views(qkv, heads)
@@ -502,17 +511,22 @@ def _attention_backward(g_ctx, qkv, ctx, E, r, heads: int) -> np.ndarray:
     np.multiply(g_c, r, out=left[..., :dk])
     delta = np.einsum("hij,hij->hi", g_c, _split_heads(ctx, heads))
     np.multiply(delta[..., None], -r, out=left[..., dk:])
-    right = np.ones_like(left)
-    right[..., :dk] = v
-    g_qkv = np.empty_like(qkv)
+    v1 = np.ones((n, dk + 1))
+    g_qkv = np.zeros_like(qkv)
     g_q, g_k, g_v = _head_views(g_qkv, heads)
-    np.matmul(E.transpose(0, 2, 1), left[..., :dk], out=g_v)
-    g_s = np.empty((n, n))
+    buf = np.empty((min(n, _TILE), n))
+    g_s = np.empty_like(buf)
     for h in range(heads):
-        np.matmul(left[h], right[h].T, out=g_s)
-        g_s *= E[h]
-        np.matmul(g_s, k[h], out=g_q[h])
-        np.matmul(g_s.T, q[h], out=g_k[h])
+        v1[:, :dk] = v[h]
+        for t in range(0, n, _TILE):
+            m = min(_TILE, n - t)
+            rows = slice(t, t + m)
+            e = _score_tile(q[h, rows], k[h], shift[h], buf[:m])
+            np.matmul(left[h, rows], v1.T, out=g_s[:m])
+            g_s[:m] *= e
+            np.matmul(g_s[:m], k[h], out=g_q[h, rows])
+            g_k[h] += g_s[:m].T @ q[h, rows]
+            g_v[h] += e.T @ left[h, rows, :dk]
     g_q *= 1.0 / math.sqrt(dk)
     return g_qkv
 
@@ -632,13 +646,16 @@ def encoder_layer(H: Tensor, weights, heads: int, sink=None) -> Tensor:
     projection, then every head's value projection. When ``sink`` is a list,
     one list of the per-head [n x n] attention matrices is appended to it.
     The backward is analytic and walks LN2, the feed-forward, LN1, wo and
-    the attention in turn. When no graph is kept nothing is saved for it.
+    the attention in turn. For the attention it keeps the projection, the
+    context, the per-head shift flags and r, but no [n x n] block: the
+    backward scores each query tile again. When no graph is kept nothing
+    is saved for it.
     """
     wqkv, wo, w1, b1, w2, b2, ln1_gain, ln1_bias, ln2_gain, ln2_bias = weights
     _check_attention("encoder_layer", H, wqkv, heads)
     keep = _keeps_graph((H, *weights))
     qkv = H.data @ wqkv.data
-    ctx, E, r = _attention_forward(qkv, heads, keep, sink)
+    ctx, shift, r = _attention_forward(qkv, heads, sink)
     x1 = ctx @ wo.data
     if not keep:
         qkv = ctx = None  # nothing is saved: free them for the feed-forward
@@ -661,7 +678,7 @@ def encoder_layer(H: Tensor, weights, heads: int, sink=None) -> Tensor:
         g_G += g_x2
         g_x1, g_ln1_gain, g_ln1_bias = _layer_norm_backward(
             g_G, ln1_gain.data, xhat1, inv1, out=g_G)
-        g_qkv = _attention_backward(g_x1 @ wo.data.T, qkv, ctx, E, r, heads)
+        g_qkv = _attention_backward(g_x1 @ wo.data.T, qkv, ctx, shift, r, heads)
         if H.requires_grad:
             g_H = g_qkv @ wqkv.data.T
             g_H += g_x1

@@ -61,6 +61,9 @@ def add_zero_dropout(bundle):
     ("finetune", "--lambda-fine", "nan"), ("finetune", "--lambda-fine", "-0.5"),
     ("finetune", "--lambda-fine", "inf"), ("finetune", "--threshold", "nan"),
     ("finetune", "--threshold", "-0.1"), ("finetune", "--threshold", "1.5"),
+    ("pretrain", "--vocab-size", "6"), ("finetune", "--vocab-size", "3"),
+    ("stats", "--vocab-size", "-1"), ("pretrain", "--min-freq", "0"),
+    ("finetune", "--min-freq", "-4"), ("stats", "--min-freq", "0"),
 ])
 def test_bad_numeric_flag_exits_2_before_any_input_is_read(tmp_path, capsys,
                                                            command, flag, value):
@@ -72,6 +75,13 @@ def test_bad_numeric_flag_exits_2_before_any_input_is_read(tmp_path, capsys,
         argv += ["--id", "x"]
     assert main(argv) == 2
     assert flag in capsys.readouterr().err.strip().splitlines()[-1]
+
+
+def test_smallest_vocab_flags_are_accepted(tmp_path, corpus_path):
+    out = tmp_path / "o"
+    assert main(["stats", "--corpus", corpus_path, "--out", str(out),
+                 "--vocab-size", "7", "--min-freq", "1"]) == 0
+    assert json.loads((out / "stats.json").read_text())["vocab_size"] == 7
 
 
 class TestConvert:

@@ -46,7 +46,8 @@ class TestLoadCorpus:
     @pytest.mark.parametrize("field, value", [
         ("label", 1.7), ("label", 1.0), ("label", "1"), ("label", True),
         ("vul_lines", [2.9]), ("vul_lines", ["2"]), ("vul_lines", [False]),
-        ("code", 123), ("code", None),
+        ("code", 123), ("code", None), ("id", 7), ("id", None), ("cwe", 787),
+        ("cwe", ["CWE-787"]),
     ])
     def test_non_integer_or_non_string_field_rejected(self, tmp_path, field, value):
         path = tmp_path / "c.jsonl"
@@ -55,6 +56,15 @@ class TestLoadCorpus:
         write_jsonl(path, [{"id": "ok", "code": "x", "label": 0, "vul_lines": []}, record])
         with pytest.raises(CorpusError, match=f"line 2: {field.rstrip('s')} must be"):
             C.load_corpus(str(path))
+
+    def test_cwe_absent_or_null_loads_as_none(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [
+            {"id": "a", "code": "x", "label": 0, "vul_lines": []},
+            {"id": "b", "code": "x", "label": 0, "vul_lines": [], "cwe": None},
+            {"id": "c", "code": "x", "label": 0, "vul_lines": [], "cwe": "CWE-787"},
+        ])
+        assert [s.cwe for s in C.load_corpus(str(path))] == [None, None, "CWE-787"]
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "c.jsonl"

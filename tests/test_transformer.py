@@ -78,10 +78,10 @@ def multi_head_attention(H, wqkv, heads, sink=None):
     hold the fused layer to account. ``wqkv`` and ``sink`` are as there."""
     T._check_attention("multi_head_attention", H, wqkv, heads)
     qkv = H.data @ wqkv.data
-    ctx, E, r = T._attention_forward(qkv, heads, T._keeps_graph((H, wqkv)), sink)
+    ctx, shift, r = T._attention_forward(qkv, heads, sink)
 
     def back(g, grads):
-        g_qkv = T._attention_backward(g, qkv, ctx, E, r, heads)
+        g_qkv = T._attention_backward(g, qkv, ctx, shift, r, heads)
         T._accumulate(grads, H, g_qkv @ wqkv.data.T)
         T._accumulate(grads, wqkv, H.data.T @ g_qkv)
 
@@ -321,9 +321,8 @@ class TestAttentionTiles:
         layer, cfg = random_layer(rng, heads, hidden=16)
         H = T.parameter(near_rows(rng, n, cfg.hidden))
         past_the_bound(H.data, layer.wqkv.data, heads, 2 * T._EXP_BOUND)
-        E = T._attention_forward(H.data @ layer.wqkv.data, heads, True, None)[1]
-        assert (E[0].max(axis=1) == 1.0).all()  # shifted: each row's max is exp(0)
-        assert (E[1:].max(axis=2) != 1.0).all()  # unshifted
+        shift = T._attention_forward(H.data @ layer.wqkv.data, heads, None)[1]
+        assert shift.tolist() == [True] + [False] * (heads - 1)
         expected = straight_line_stack(H.data, [layer], cfg.head_dim)
         graph_maps, plain_maps = [], []
         graph = T.encoder_layer(H, layer.weights(), heads, graph_maps)
@@ -388,11 +387,28 @@ class TestAttentionTiles:
         qkv = rng.normal(size=(n, 3 * heads * dk))
         tracemalloc.start()
         try:
-            T._attention_forward(qkv, heads, False, None)
+            T._attention_forward(qkv, heads, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
+
+    def test_graph_keeps_no_score_block(self):
+        # what a 512-token desk-preset layer holds for its backward: keeping
+        # E as one [heads x n x n] block held 13.66 MB here, rebuilding it
+        # tile by tile in the backward 5.27 MB
+        cfg = preset_config("desk-2x64x4", vocab_size=50)
+        layer = EncoderStack(cfg, np.random.default_rng(0)).layers[0]
+        n = 512
+        H = T.parameter(np.random.default_rng(1).normal(size=(n, cfg.hidden)))
+        tracemalloc.start()
+        try:
+            out = T.encoder_layer(H, layer.weights(), cfg.heads)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        assert kept < cfg.heads * n * n * 8
 
 
 @pytest.fixture
