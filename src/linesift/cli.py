@@ -19,7 +19,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .checkpoint import CheckpointError, load_into
-from .corpus import CorpusError, SplitSpec
+from .corpus import M_LEN_CHOICES, CorpusError, SplitSpec
 from .encoding import RESERVED_TOKENS, EncodingError, Vocab, build_vocab, encode
 from .finetune import (
     DetectionHeads,
@@ -32,7 +32,7 @@ from .finetune import (
     resume_optimizer,
     write_reports_jsonl,
 )
-from .model import BundleConfigError, HierarchicalModel, ModelConfig, load_bundle
+from .model import VOCAB_NAME, BundleConfigError, HierarchicalModel, ModelConfig, load_bundle
 from .parallel import map_ordered
 from .pretrain import (
     DivergenceError,
@@ -42,8 +42,6 @@ from .pretrain import (
     pretrain_run,
 )
 from .transformer import PRESETS, preset_config
-
-M_LEN_CHOICES = (512, 1024, 2048)
 
 
 class UsageError(ValueError):
@@ -95,6 +93,10 @@ def _load_model(checkpoint_dir: str):
         raise UsageError(str(exc)) from exc
     if vocab is None:
         raise UsageError(f"checkpoint {checkpoint_dir} has no vocabulary file")
+    if len(vocab) != config.encoder.vocab_size:
+        raise UsageError(
+            f"{os.path.join(checkpoint_dir, VOCAB_NAME)} holds {len(vocab)} tokens; "
+            f"the config's vocab_size is {config.encoder.vocab_size}")
     model = HierarchicalModel(config, seed=0)
     model.load_state(arrays)
     return model, vocab, arrays, meta

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "M_LEN_CHOICES",
     "FunctionSample",
     "SplitSpec",
     "CorpusError",
@@ -26,6 +27,11 @@ __all__ = [
     "format_stats_table",
     "convert_csv_corpus",
 ]
+
+
+# the token-stream lengths a model may accept (``--m-len``); ``stats``
+# reports truncation at each of them
+M_LEN_CHOICES = (512, 1024, 2048)
 
 
 class CorpusError(ValueError):
@@ -173,18 +179,15 @@ def class_stats(samples: list[FunctionSample]) -> dict:
     }
 
 
-def truncation_stats(
-    samples: list[FunctionSample],
-    token_length,
-    limits: tuple[int, ...] = (512, 1024, 2048),
-) -> list[dict]:
-    """Count samples whose token stream fits each limit (all / vulnerable).
+def truncation_stats(samples: list[FunctionSample], token_length) -> list[dict]:
+    """Count samples whose token stream fits each of ``M_LEN_CHOICES``
+    (all / vulnerable).
 
     ``token_length`` maps a sample to its full (untruncated) token count.
     """
     lengths = [(token_length(s), s.label) for s in samples]
     rows = []
-    for limit in limits:
+    for limit in M_LEN_CHOICES:
         fit = sum(1 for n, _ in lengths if n <= limit)
         fit_vul = sum(1 for n, lab in lengths if n <= limit and lab == 1)
         rows.append({

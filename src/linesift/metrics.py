@@ -4,7 +4,7 @@ F1 follows the FNR-based formulation 2 * precision * (1 - FNR) /
 (precision + (1 - FNR)); since 1 - FNR is recall this is the usual
 harmonic mean, computed that way so the reported numbers match the
 formula exactly. The localization score Top-k% counts a sample as a hit
-when its first max(1, ceil(k% * L)) ranked lines intersect the
+when its first max(1, ceil(k * L / 100)) ranked lines intersect the
 ground-truth vulnerable lines.
 """
 
@@ -97,8 +97,10 @@ class LocalizationRecord:
 
 
 def prefix_size(k_percent: float, total_lines: int) -> int:
-    """How many ranked lines Top-k% keeps: max(1, ceil(k% * L))."""
-    return max(1, math.ceil(k_percent / 100.0 * total_lines))
+    """How many ranked lines Top-k% keeps: max(1, ceil(k * L / 100)). The
+    product comes first: ``k / 100.0 * L`` can land just above a whole
+    number (7 / 100 * 100 is 7.000000000000001)."""
+    return max(1, math.ceil(k_percent * total_lines / 100))
 
 
 def topk_accuracy(records: list[LocalizationRecord], k_percent: float,
@@ -129,9 +131,9 @@ def topk_accuracy(records: list[LocalizationRecord], k_percent: float,
     return accuracy
 
 
-def sweep_topk(records: list[LocalizationRecord],
-               k_values=tuple(range(2, 21))) -> list[tuple[float, float]]:
-    return [(float(k), topk_accuracy(records, k)) for k in k_values]
+def sweep_topk(records: list[LocalizationRecord]) -> list[tuple[float, float]]:
+    """Top-k% accuracy at k = 2, 3, ..., 20."""
+    return [(float(k), topk_accuracy(records, k)) for k in range(2, 21)]
 
 
 def write_csv(path: str, header: list[str], rows) -> None:

@@ -37,6 +37,19 @@ class BundleConfigError(ValueError):
     """A bundle's config file does not parse or does not describe a model."""
 
 
+# the meta entries that a command reads back, and the type each must have
+_META_TYPES = {"epoch": int, "opt_t": int, "best_epoch": int,
+               "threshold": (int, float), "best_f1": (int, float)}
+
+
+def _check_type(name: str, value, kind) -> None:
+    """Refuse a JSON value that is not of ``kind``; true and false are not
+    numbers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise BundleConfigError(
+            f"{name} {value!r} is not {'an integer' if kind is int else 'a number'}")
+
+
 @dataclass
 class ModelConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -59,12 +72,16 @@ class ModelConfig:
         encoder = dict(d["encoder"])
         for found, key, only in ((d, "program_pool", "summary"),
                                  (d, "attn_pool_dim", None),
-                                 (encoder, "dropout", 0.0)):
+                                 (encoder, "dropout", 0.0),
+                                 (encoder, "max_positions", SEGMENT_TOKENS)):
             if found.get(key, only) != only:
                 raise BundleConfigError(
                     f"{key} {found[key]!r} is not supported; only {only!r} is"
                 )
-        encoder.pop("dropout", None)
+        for key in ("dropout", "max_positions"):
+            encoder.pop(key, None)
+        for key, value in [*encoder.items(), ("m_len", d["m_len"])]:
+            _check_type(key, value, int)
         return cls(
             encoder=EncoderConfig(**encoder),
             m_len=d["m_len"],
@@ -193,6 +210,13 @@ def load_bundle(directory: str):
             payload = json.load(fh)
             config = ModelConfig.from_dict(payload["model"])
             meta = payload.get("meta", {})
+            if not isinstance(meta, dict):
+                raise BundleConfigError(f"meta {meta!r} is not an object")
+            for key, kind in _META_TYPES.items():
+                if key in meta:
+                    _check_type(f"meta {key}", meta[key], kind)
+            if not 0.0 <= meta.get("threshold", 0.5) <= 1.0:  # NaN fails too
+                raise BundleConfigError(f"meta threshold {meta['threshold']!r} is not in [0, 1]")
         except (KeyError, TypeError, ValueError) as exc:
             raise BundleConfigError(
                 f"malformed {config_path}: {type(exc).__name__}: {exc}"

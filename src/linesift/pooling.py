@@ -67,19 +67,18 @@ class AttentionPool:
 
     kind = "attention"
 
-    def __init__(self, hidden: int, attn_dim: int | None, rng: np.random.Generator):
-        self.attn_dim = attn_dim or hidden
-        self.q_proj = T.parameter(rng.normal(0.0, 0.02, (hidden, self.attn_dim)))
-        self.k_proj = T.parameter(rng.normal(0.0, 0.02, (hidden, self.attn_dim)))
+    def __init__(self, hidden: int, rng: np.random.Generator):
+        self.q_proj = T.parameter(rng.normal(0.0, 0.02, (hidden, hidden)))
+        self.k_proj = T.parameter(rng.normal(0.0, 0.02, (hidden, hidden)))
 
     def parameters(self, prefix: str = "t2s"):
         yield f"{prefix}.q_proj", self.q_proj
         yield f"{prefix}.k_proj", self.k_proj
 
     def apply(self, tokens: Tensor, spans: list[tuple[int, int]]) -> Tensor:
-        q = tokens.rows(0, 1) @ self.q_proj                   # [1 x d_a]
-        keys = tokens @ self.k_proj                           # [n x d_a]
-        scores = (keys @ q.transpose()) * (1.0 / math.sqrt(self.attn_dim))
+        q = tokens.rows(0, 1) @ self.q_proj                   # [1 x d]
+        keys = tokens @ self.k_proj                           # [n x d]
+        scores = (keys @ q.transpose()) * (1.0 / math.sqrt(tokens.shape[1]))
         return T.span_combine(tokens, spans, scores.reshape((tokens.shape[0],)))
 
 
@@ -89,5 +88,5 @@ def make_pool(kind: str, hidden: int, m_len: int, rng: np.random.Generator):
     if kind == "weighted":
         return WeightedPool(m_len)
     if kind == "attention":
-        return AttentionPool(hidden, hidden, rng)
+        return AttentionPool(hidden, rng)
     raise ValueError(f"unknown t2s strategy {kind!r}; choose from {POOL_KINDS}")

@@ -537,7 +537,10 @@ def _check_attention(op: str, H: Tensor, wqkv: Tensor, heads: int) -> None:
         raise ShapeMismatch(f"{op}: input {H.shape}, wqkv {wqkv.shape}, {heads} heads")
 
 
-def _layer_norm_forward(x, gain, bias, eps: float, out=None):
+_LN_EPS = 1e-12
+
+
+def _layer_norm_forward(x, gain, bias, out=None):
     """(xhat * gain + bias, xhat, inv) for the rows of ``x``, with xhat the
     normalized rows (written into ``out``, which may be ``x``) and inv the
     [r x 1] reciprocal standard deviations."""
@@ -546,7 +549,7 @@ def _layer_norm_forward(x, gain, bias, eps: float, out=None):
     xhat = np.subtract(x, mean, out=out)
     inv = np.einsum("ij,ij->i", xhat, xhat)[:, None]
     inv /= x.shape[1]
-    inv += eps
+    inv += _LN_EPS
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xhat *= inv
@@ -572,10 +575,7 @@ def _layer_norm_backward(g, gain, xhat, inv, out=None):
     return gx, g_gain, g_bias
 
 
-_LN_EPS = 1e-12
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row layer normalization followed by the gain/bias affine map."""
     if x.ndim != 2 or x.shape[1] < 2:
         raise ShapeMismatch(f"layer_norm: needs [r x d] with d >= 2, got {x.shape}")
@@ -584,7 +584,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> T
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} "
             f"do not match feature dim {x.shape[1]}"
         )
-    y, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data, eps)
+    y, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data)
 
     def back(g, grads):
         g_x, g_gain, g_bias = _layer_norm_backward(g, gain.data, xhat, inv)
@@ -660,14 +660,14 @@ def encoder_layer(H: Tensor, weights, heads: int, sink=None) -> Tensor:
     if not keep:
         qkv = ctx = None  # nothing is saved: free them for the feed-forward
     x1 += H.data
-    G, xhat1, inv1 = _layer_norm_forward(x1, ln1_gain.data, ln1_bias.data, _LN_EPS, out=x1)
+    G, xhat1, inv1 = _layer_norm_forward(x1, ln1_gain.data, ln1_bias.data, out=x1)
     Z = G @ w1.data
     Z += b1.data
     U, e = _gelu_forward(Z, keep)
     x2 = U @ w2.data
     x2 += b2.data
     x2 += G
-    out, xhat2, inv2 = _layer_norm_forward(x2, ln2_gain.data, ln2_bias.data, _LN_EPS, out=x2)
+    out, xhat2, inv2 = _layer_norm_forward(x2, ln2_gain.data, ln2_bias.data, out=x2)
     if not keep:
         return Tensor(out)
 
@@ -812,16 +812,16 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 # -- AdamW --------------------------------------------------------------------
 
+_BETA1, _BETA2 = 0.9, 0.999
+_ADAM_EPS = 1e-8
+_WEIGHT_DECAY = 0.01
+
 
 @dataclass
 class OptimizerState:
     """Decoupled-weight-decay Adam state over a named parameter set."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.01
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -842,9 +842,8 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     """One AdamW update over ``params``; missing grads count as zero."""
     state.ensure(params)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    bc1 = 1.0 - _BETA1 ** state.t
+    bc2 = 1.0 - _BETA2 ** state.t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
@@ -855,19 +854,19 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         m = state.m[name]
         v = state.v[name]
         # p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p), op for op, in two buffers
-        tmp = np.multiply(g, 1.0 - b1)
-        m *= b1
+        tmp = np.multiply(g, 1.0 - _BETA1)
+        m *= _BETA1
         m += tmp
-        np.multiply(g, 1.0 - b2, out=tmp)
+        np.multiply(g, 1.0 - _BETA2, out=tmp)
         tmp *= g
-        v *= b2
+        v *= _BETA2
         v += tmp
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.epsilon
+        tmp += _ADAM_EPS
         step = m / bc1
         step /= tmp
-        np.multiply(p.data, state.weight_decay, out=tmp)
+        np.multiply(p.data, _WEIGHT_DECAY, out=tmp)
         step += tmp
         step *= state.learning_rate
         p.data -= step

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+from .encoding import MAX_STATEMENTS, SEGMENT_TOKENS
 
 __all__ = ["EncoderConfig", "EncoderStack", "Mlp", "TokenEncoder",
            "StatementEncoder", "preset_config", "PRESETS"]
@@ -33,11 +34,10 @@ class EncoderConfig:
     hidden: int = 64
     heads: int = 4
     ffn_hidden: int = 256
-    max_positions: int = 512
     vocab_size: int = 0
 
     def __post_init__(self):
-        for name in ("layers", "hidden", "heads", "ffn_hidden", "max_positions"):
+        for name in ("layers", "hidden", "heads", "ffn_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} {getattr(self, name)} must be positive")
         if self.vocab_size < 0:
@@ -71,8 +71,8 @@ def preset_config(name: str, **overrides) -> EncoderConfig:
     return EncoderConfig(**kw)
 
 
-def _normal(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
-    return T.parameter(rng.normal(0.0, std, size=shape))
+def _normal(rng: np.random.Generator, shape) -> Tensor:
+    return T.parameter(rng.normal(0.0, 0.02, size=shape))
 
 
 class Mlp:
@@ -141,9 +141,8 @@ class TokenEncoder:
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         if cfg.vocab_size <= 0:
             raise ValueError("token encoder needs a positive vocab_size")
-        self.cfg = cfg
         self.tok_emb = _normal(rng, (cfg.vocab_size, cfg.hidden))
-        self.pos_emb = _normal(rng, (cfg.max_positions, cfg.hidden))
+        self.pos_emb = _normal(rng, (SEGMENT_TOKENS, cfg.hidden))
         self.stack = EncoderStack(cfg, rng)
 
     def parameters(self, prefix: str = "te"):
@@ -154,10 +153,8 @@ class TokenEncoder:
     def forward(self, token_ids, attention_sink: list | None = None) -> Tensor:
         ids = np.asarray(token_ids, dtype=np.int64)
         n = ids.shape[0]
-        if n > self.cfg.max_positions:
-            raise ValueError(
-                f"segment of {n} tokens exceeds capacity {self.cfg.max_positions}"
-            )
+        if n > SEGMENT_TOKENS:
+            raise ValueError(f"segment of {n} tokens exceeds capacity {SEGMENT_TOKENS}")
         H = T.embedding_lookup(self.tok_emb, ids) + self.pos_emb.rows(0, n)
         return self.stack.forward(H, attention_sink)
 
@@ -172,8 +169,7 @@ class StatementEncoder:
     """Statement-level stack producing the program vector and statement vectors."""
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.pos_emb = _normal(rng, (cfg.max_positions, cfg.hidden))
+        self.pos_emb = _normal(rng, (MAX_STATEMENTS, cfg.hidden))
         self.summary = _normal(rng, (1, cfg.hidden))
         self.stack = EncoderStack(cfg, rng)
 
@@ -184,10 +180,8 @@ class StatementEncoder:
 
     def forward(self, statement_inputs: Tensor) -> tuple[Tensor, Tensor]:
         L = statement_inputs.shape[0]
-        if not (1 <= L <= self.cfg.max_positions):
-            raise ValueError(
-                f"statement count {L} outside [1, {self.cfg.max_positions}]"
-            )
+        if not (1 <= L <= MAX_STATEMENTS):
+            raise ValueError(f"statement count {L} outside [1, {MAX_STATEMENTS}]")
         X = T.concat_rows([
             self.summary,
             statement_inputs + self.pos_emb.rows(0, L),

@@ -194,10 +194,10 @@ def test_criterion_3_token2statement_oracles():
             out_w - oracle(weighted.position_weight.data[:n])
         ))))
 
-        attn = AttentionPool(hidden=d, attn_dim=6, rng=rng)
+        attn = AttentionPool(hidden=d, rng=rng)
         out_a = attn.apply(T.constant(tokens), spans).data
         q = tokens[0] @ attn.q_proj.data
-        raw = (tokens @ attn.k_proj.data) @ q / math.sqrt(6)
+        raw = (tokens @ attn.k_proj.data) @ q / math.sqrt(d)
         worst = max(worst, float(np.max(np.abs(out_a - oracle(raw)))))
 
         if i < 50:
@@ -280,7 +280,7 @@ def test_criterion_5_metric_oracles():
     for k in (2, 5, 10, 20):
         hits = 0
         for rec in records:
-            count = max(1, math.ceil(k / 100.0 * rec.total_lines))
+            count = max(1, math.ceil(k * rec.total_lines / 100))
             hits += bool(set(rec.ranked[:count]) & rec.truth)
         assert topk_accuracy(records, k) == hits / len(records)
 

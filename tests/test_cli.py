@@ -365,7 +365,11 @@ class TestEvaluateCommand:
         assert code == 2
 
     @pytest.mark.parametrize("corrupt", ["drop_m_len", "mean_pool", "bad_json",
-                                         "zero_heads", "negative_layers", "one_layer"])
+                                         "zero_heads", "negative_layers", "one_layer",
+                                         "float_hidden", "float_layers",
+                                         "float_vocab_size", "bool_m_len", "list_meta",
+                                         "string_threshold", "nan_threshold",
+                                         "fractional_epoch"])
     def test_malformed_config_exits_2(self, finetuned, corpus_path, tmp_path,
                                       capsys, corrupt):
         bundle = tmp_path / "bundle"
@@ -383,6 +387,19 @@ class TestEvaluateCommand:
         elif corrupt == "one_layer":  # a well-formed config that drops a stored layer
             assert payload["model"]["encoder"]["layers"] == 2
             payload["model"]["encoder"]["layers"] = 1
+        elif corrupt.startswith("float_"):
+            key = corrupt[len("float_"):]
+            payload["model"]["encoder"][key] = float(payload["model"]["encoder"][key])
+        elif corrupt == "bool_m_len":
+            payload["model"]["m_len"] = True
+        elif corrupt == "list_meta":
+            payload["meta"] = []
+        elif corrupt == "string_threshold":
+            payload["meta"]["threshold"] = "abc"
+        elif corrupt == "nan_threshold":
+            payload["meta"]["threshold"] = math.nan
+        elif corrupt == "fractional_epoch":
+            payload["meta"]["epoch"] = 1.5
         text = "{not json" if corrupt == "bad_json" else json.dumps(payload)
         config_path.write_text(text)
         code = main(["evaluate", "--corpus", corpus_path,
@@ -390,6 +407,23 @@ class TestEvaluateCommand:
         assert code == 2
         named = "'se.layer1." if corrupt == "one_layer" else str(config_path)
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    @pytest.mark.parametrize("change", ["longer", "shorter"])
+    def test_vocabulary_of_another_size_exits_2(self, finetuned, corpus_path, tmp_path,
+                                                capsys, command, change):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(os.path.join(finetuned, "best"), bundle)
+        vocab_path = bundle / "vocab.txt"
+        tokens = vocab_path.read_text().split("\n")[:-1]
+        tokens = tokens + ["extra_a", "extra_b"] if change == "longer" else tokens[:-1]
+        vocab_path.write_text("\n".join(tokens) + "\n")
+        argv = [command, "--corpus", corpus_path, "--checkpoint", str(bundle),
+                "--out", str(tmp_path / "o")]
+        if command == "explain":
+            argv += ["--id", load_corpus(corpus_path)[0].id]
+        assert main(argv) == 2
+        assert str(vocab_path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, shape", [
         ("te.layer0.wo", None), ("heads.dnet_w2", None), ("heads.stmt_w2", (256, 3)),

@@ -13,6 +13,7 @@ from linesift.metrics import (
     LocalizationRecord,
     classification_metrics,
     export_heatmap,
+    prefix_size,
     sweep_topk,
     topk_accuracy,
     write_heatmap_csv,
@@ -26,7 +27,7 @@ def brute_force_topk(records, k):
     for rec in records:
         if len(rec.truth) == 0:
             continue
-        count = max(1, math.ceil(k / 100.0 * rec.total_lines))
+        count = max(1, math.ceil(k * rec.total_lines / 100))
         hit = 0
         for line in rec.ranked[:count]:
             if line in rec.truth:
@@ -102,6 +103,13 @@ class TestTopkAccuracy:
     def test_empty_ranking_is_a_miss(self):
         rec = LocalizationRecord("gated", frozenset({3}), (), 10)
         assert topk_accuracy([rec], 20) == 0.0
+
+    def test_prefix_takes_the_product_first(self):
+        # 7 / 100.0 * 100 is 7.000000000000001, which ceil takes to 8
+        assert prefix_size(7, 100) == 7
+        assert prefix_size(14, 50) == 7
+        rec = LocalizationRecord("a", frozenset({8}), tuple(range(1, 101)), 100)
+        assert topk_accuracy([rec], 7) == 0.0
 
     def test_k_range_validated(self):
         with pytest.raises(ValueError):

@@ -219,6 +219,30 @@ class TestParametersAndBundles:
         with pytest.raises(BundleConfigError, match="dropout 0.1"):
             load_bundle(str(tmp_path))
 
+    def test_bundle_with_max_positions_512_loads_and_predicts(self, tmp_path, model, rng):
+        self._bundle_with_config(tmp_path, model, "encoder",
+                                 {**SMALL.encoder.to_dict(), "max_positions": 512})
+        config, arrays, _, _ = load_bundle(str(tmp_path))
+        assert config == model.config
+        reloaded = HierarchicalModel(config, seed=5)
+        reloaded.load_state(arrays)
+        heads = DetectionHeads(16, 32, np.random.default_rng(3), threshold=0.0)
+        enc = make_encoded(rng, 600)
+        assert (predict(enc, reloaded, heads).to_dict()
+                == predict(enc, model, heads).to_dict())
+
+    def test_bundle_with_other_max_positions_rejected(self, tmp_path, model):
+        self._bundle_with_config(tmp_path, model, "encoder",
+                                 {**SMALL.encoder.to_dict(), "max_positions": 256})
+        with pytest.raises(BundleConfigError, match="max_positions 256"):
+            load_bundle(str(tmp_path))
+
+    def test_saved_config_has_no_max_positions(self, tmp_path, model):
+        save_bundle(str(tmp_path), model.config, model.state_arrays())
+        encoder = json.loads((tmp_path / CONFIG_NAME).read_text())["model"]["encoder"]
+        assert "max_positions" not in encoder
+        assert set(encoder) == {"layers", "hidden", "heads", "ffn_hidden", "vocab_size"}
+
     def test_one_projection_tensor_per_attention_layer(self, tmp_path):
         cfg = ModelConfig(encoder=preset_config("desk-2x64x4", vocab_size=50))
         desk = HierarchicalModel(cfg, seed=0)

@@ -129,7 +129,7 @@ class TestWeightedPool:
 class TestAttentionPool:
     def test_zero_projections_reduce_to_average_exactly(self, rng):
         spans, tokens = spans_and_tokens(rng)
-        pool = AttentionPool(hidden=6, attn_dim=None, rng=rng)
+        pool = AttentionPool(hidden=6, rng=rng)
         pool.q_proj.data[:] = 0.0
         pool.k_proj.data[:] = 0.0
         out = pool.apply(T.constant(tokens), spans)
@@ -138,23 +138,23 @@ class TestAttentionPool:
 
     def test_single_token_span_ignores_scores(self, rng):
         tokens = rng.normal(size=(2, 6))
-        pool = AttentionPool(hidden=6, attn_dim=4, rng=rng)
+        pool = AttentionPool(hidden=6, rng=rng)
         out = pool.apply(T.constant(tokens), [(1, 2)])
         assert np.max(np.abs(out.data[0] - tokens[1])) < 1e-15
 
     def test_against_per_span_oracle(self, rng):
         for _ in range(50):
             spans, tokens = spans_and_tokens(rng, int(rng.integers(4, 60)))
-            pool = AttentionPool(hidden=6, attn_dim=5, rng=rng)
+            pool = AttentionPool(hidden=6, rng=rng)
             q = tokens[0] @ pool.q_proj.data
-            raw = (tokens @ pool.k_proj.data) @ q / math.sqrt(5)
+            raw = (tokens @ pool.k_proj.data) @ q / math.sqrt(6)
             expected = oracle_weighted_mean(tokens, spans, raw)
             out = pool.apply(T.constant(tokens), spans)
             assert np.max(np.abs(out.data - expected)) < 1e-12
 
     def test_projections_receive_gradient(self, rng):
         spans, tokens = spans_and_tokens(rng)
-        pool = AttentionPool(hidden=6, attn_dim=None, rng=rng)
+        pool = AttentionPool(hidden=6, rng=rng)
         pool.apply(T.constant(tokens), spans).sum().backward()
         assert pool.q_proj.grad is not None and np.any(pool.q_proj.grad != 0)
         assert pool.k_proj.grad is not None and np.any(pool.k_proj.grad != 0)
@@ -165,7 +165,7 @@ class TestSharedProperties:
         weighted = WeightedPool(m_len)
         weighted.position_weight.data[:] = rng.normal(size=m_len)
         return [AveragePool(), weighted,
-                AttentionPool(hidden=6, attn_dim=None, rng=rng)]
+                AttentionPool(hidden=6, rng=rng)]
 
     def test_convex_hull_per_coordinate(self, rng):
         for pool in self.pools(rng):

