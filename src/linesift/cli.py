@@ -23,13 +23,10 @@ from .corpus import M_LEN_CHOICES, CorpusError, SplitSpec
 from .encoding import RESERVED_TOKENS, EncodingError, Vocab, build_vocab, encode
 from .finetune import (
     DetectionHeads,
-    FinetuneResult,
     FinetuneSchedule,
     coarse_metrics,
     finetune_run,
     predict,
-    read_histories,
-    resume_optimizer,
     write_reports_jsonl,
 )
 from .model import VOCAB_NAME, BundleConfigError, HierarchicalModel, ModelConfig, load_bundle
@@ -264,25 +261,11 @@ def cmd_finetune(args) -> int:
     if not train_s:
         raise UsageError("training split is empty")
 
-    start_epoch = 0
-    optimizer = None
-    resumed = None
+    resume = None
     if args.resume:
-        last_dir = os.path.join(args.out, "last")
-        model, vocab, arrays, meta = _load_model(last_dir)
+        model, vocab, arrays, meta = _load_model(os.path.join(args.out, "last"))
         heads = _load_heads(model, arrays, meta)
-        start_epoch = int(meta.get("epoch", 0))
-        optimizer = resume_optimizer(arrays, int(meta.get("opt_t", 0)),
-                                     model, heads, schedule)
-        try:
-            loss_history, eval_history = read_histories(args.out, start_epoch)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        resumed = FinetuneResult(
-            loss_history=loss_history, eval_history=eval_history,
-            best_f1=float(meta.get("best_f1", float("-inf"))),
-            best_epoch=int(meta.get("best_epoch", -1)),
-        )
+        resume = (arrays, meta)
     else:
         if args.checkpoint:
             model, vocab, _, _ = _load_model(args.checkpoint)
@@ -298,11 +281,8 @@ def cmd_finetune(args) -> int:
     eval_enc, _ = _encode_corpus(eval_s, vocab, model.config.m_len)
     if not train_enc:
         raise UsageError("no encodable samples in the training split")
-    result = finetune_run(
-        train_enc, eval_enc, model, heads, schedule,
-        out_dir=args.out, vocab=vocab,
-        start_epoch=start_epoch, optimizer=optimizer, result=resumed,
-    )
+    result = finetune_run(train_enc, eval_enc, model, heads, schedule,
+                          out_dir=args.out, vocab=vocab, resume=resume)
 
     # score the best checkpoint on the evaluation split
     best_dir = os.path.join(args.out, "best")

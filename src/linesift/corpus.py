@@ -213,6 +213,14 @@ def format_stats_table(rows: list[dict]) -> str:
     )
 
 
+def _line_index(cell: str) -> int:
+    """A flaw-line index cell as an int; pandas writes integers as "2.0"."""
+    value = float(cell)
+    if not value.is_integer():  # 1.5, inf, nan
+        raise ValueError(f"line index {cell.strip()!r} is not a whole number")
+    return int(value)
+
+
 def convert_csv_corpus(
     csv_path: str,
     out_path: str,
@@ -241,9 +249,9 @@ def convert_csv_corpus(
             try:
                 label = int(rec[label_column])
                 parts = (rec.get(lines_column) or "").replace(";", ",").split(",")
-                vul_lines = [int(float(part)) + (1 if zero_based_lines else 0)
+                vul_lines = [_line_index(part) + (1 if zero_based_lines else 0)
                              for part in parts if label == 1 and part.strip()]
-            except (TypeError, ValueError, OverflowError) as exc:  # "abc", "inf", short row
+            except (TypeError, ValueError) as exc:  # "abc", "1.5", short row
                 raise CorpusError(f"row {rownum}: bad cell ({exc})") from exc
             sid = rec[id_column] if id_column and rec.get(id_column) else str(rownum - 2)
             sample = FunctionSample(

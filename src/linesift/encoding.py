@@ -85,12 +85,14 @@ class Vocab:
         return self.ids.get(token, UNK)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        # a token may hold "\r" (a string literal's), so one line is one
+        # token only with newline translation off both ways
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(self.tokens) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             tokens = fh.read().split("\n")
         if tokens and tokens[-1] == "":
             tokens.pop()

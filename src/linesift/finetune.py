@@ -22,7 +22,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import OptimizerState, Tensor, adamw_step
 from .encoding import EncodedSample
-from .checkpoint import load_into
+from .checkpoint import CheckpointError, load_into
 from .metrics import ConfusionCounts, classification_metrics, prefix_size, write_csv
 from .model import HierarchicalModel, save_bundle
 from .parallel import backward_sum, map_ordered
@@ -40,8 +40,6 @@ __all__ = [
     "predict",
     "coarse_metrics",
     "finetune_run",
-    "resume_optimizer",
-    "read_histories",
 ]
 
 # finetune_run's histories: file, header, column types
@@ -256,25 +254,12 @@ def _trained_parameters(model, heads, schedule) -> dict[str, Tensor]:
     return params
 
 
-def resume_optimizer(arrays: dict, t: int, model: HierarchicalModel,
-                     heads: DetectionHeads, schedule: FinetuneSchedule) -> OptimizerState:
-    """The AdamW state a "last" bundle saved: an ``opt.m.``/``opt.v.`` tensor
-    of each trained parameter's shape, or a ``CheckpointError`` naming it."""
-    params = _trained_parameters(model, heads, schedule)
-    moments = {}
-    for kind in ("m", "v"):
-        slots = {name: T.constant(p.data) for name, p in params.items()}
-        load_into(((f"opt.{kind}.{name}", slot) for name, slot in slots.items()), arrays)
-        moments[kind] = {name: slot.data for name, slot in slots.items()}
-    return OptimizerState(learning_rate=schedule.learning_rate, t=t, **moments)
-
-
-def read_histories(out_dir: str, epochs: int) -> list[list[tuple]]:
+def _read_histories(out_dir: str, epochs: int) -> list[list[tuple]]:
     """The loss and evaluation histories of the first ``epochs`` epochs, read
-    back from the ``loss.csv`` and ``eval.csv`` that ``finetune_run`` wrote
-    to ``out_dir`` (none without the file). Rows of later epochs, which a
-    run stopped before it could save ``last/`` leaves, are dropped; any
-    other content raises a ``ValueError`` naming the file."""
+    back from the ``loss.csv`` and ``eval.csv`` in ``out_dir`` (none without
+    the file). Rows of later epochs, which a run stopped before it could save
+    ``last/`` leaves, are dropped; any other content raises a
+    ``CheckpointError`` naming the file."""
     histories = []
     for name, header, types in HISTORIES:
         path = os.path.join(out_dir, name)
@@ -287,7 +272,7 @@ def read_histories(out_dir: str, epochs: int) -> list[list[tuple]]:
         except FileNotFoundError:
             rows = []
         except ValueError:
-            raise ValueError(f"{path} is not a {','.join(header)} table") from None
+            raise CheckpointError(f"{path} is not a {','.join(header)} table") from None
         histories.append([row for row in rows if row[0] < epochs])
     return histories
 
@@ -300,26 +285,40 @@ def finetune_run(
     schedule: FinetuneSchedule,
     out_dir: str | None = None,
     vocab=None,
-    start_epoch: int = 0,
-    optimizer: OptimizerState | None = None,
-    result: FinetuneResult | None = None,
+    resume: tuple[dict, dict] | None = None,
 ) -> FinetuneResult:
     """Epoch loop with evaluation-split F1 tracking and best-checkpoint keep.
 
-    Batch order is a pure function of (seed, epoch). Each epoch ends by
-    writing ``loss.csv``, ``eval.csv`` and the "last" checkpoint, which
-    stores the optimizer moments and the best F1 and epoch so far, so a
-    resumed run (passing them back as ``optimizer`` and ``result``, the
-    histories through ``read_histories``) reproduces an uninterrupted one
-    step for step. Each step runs its samples one at a time on the pool
+    Batch order is a pure function of (seed, epoch). An epoch that improves
+    the evaluation F1 (every epoch, without an evaluation split) first writes
+    the "best" checkpoint. Each epoch then writes ``loss.csv``, ``eval.csv``
+    and the "last" checkpoint, which stores the optimizer moments and the
+    best F1 and epoch so far. ``resume`` is the ``(arrays, meta)`` of that
+    "last" bundle, whose weights ``model`` and ``heads`` already hold: the
+    run then continues from its epoch, with its optimizer state and the
+    histories in ``out_dir``, and reproduces an uninterrupted one step for
+    step. Each step runs its samples one at a time on the pool
     (``parallel.backward_sum``).
     """
     if not train:
         raise ValueError("training split is empty")
     params = _trained_parameters(model, heads, schedule)
-    opt = optimizer or OptimizerState(learning_rate=schedule.learning_rate)
-    if result is None:
-        result = FinetuneResult()
+    opt = OptimizerState(learning_rate=schedule.learning_rate)
+    result = FinetuneResult()
+    start_epoch = 0
+    if resume is not None:
+        arrays, meta = resume
+        start_epoch = int(meta.get("epoch", 0))
+        opt.t = int(meta.get("opt_t", 0))
+        # an opt.m./opt.v. tensor of each trained parameter's shape, or a
+        # CheckpointError naming it
+        for kind, moments in (("m", opt.m), ("v", opt.v)):
+            slots = [(name, T.constant(p.data)) for name, p in params.items()]
+            load_into(((f"opt.{kind}.{name}", slot) for name, slot in slots), arrays)
+            moments.update((name, slot.data) for name, slot in slots)
+        result.loss_history, result.eval_history = _read_histories(out_dir, start_epoch)
+        result.best_f1 = float(meta.get("best_f1", result.best_f1))
+        result.best_epoch = int(meta.get("best_epoch", result.best_epoch))
 
     def arrays(include_opt: bool) -> dict:
         out = model.state_arrays()
@@ -337,7 +336,6 @@ def finetune_run(
                 vocab=vocab, meta=meta,
             )
 
-    best_arrays: dict | None = None
     for epoch in range(start_epoch, schedule.epochs):
         order = np.random.default_rng(
             np.random.SeedSequence([schedule.seed, 0xF17E, epoch])
@@ -358,11 +356,12 @@ def finetune_run(
             result.loss_history.append((epoch, step, value))
         f1 = coarse_metrics(evaluation, model, heads)["f1"] if evaluation else float("nan")
         result.eval_history.append((epoch, f1))
-        improved = evaluation and (f1 > result.best_f1)
-        if improved or not evaluation:
-            result.best_f1 = f1 if evaluation else float("nan")
+        if not evaluation or f1 > result.best_f1:
+            result.best_f1 = f1
             result.best_epoch = epoch
-            best_arrays = {k: v.copy() for k, v in arrays(False).items()}
+            # before last/, so that its best_epoch names weights on disk
+            save("best", False, {"epoch": epoch + 1, "f1": f1,
+                                 "threshold": heads.threshold})
         if out_dir is not None:
             for (name, header, _), rows in zip(HISTORIES, (result.loss_history,
                                                            result.eval_history)):
@@ -377,13 +376,6 @@ def finetune_run(
             and epoch - result.best_epoch >= schedule.early_stop_patience
         ):
             break
-    if out_dir is not None and best_arrays is not None:
-        save_bundle(
-            os.path.join(out_dir, "best"), model.config, best_arrays,
-            vocab=vocab,
-            meta={"epoch": result.best_epoch + 1, "f1": result.best_f1,
-                  "threshold": heads.threshold},
-        )
     return result
 
 

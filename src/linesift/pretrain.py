@@ -324,7 +324,8 @@ def pretrain_run(
     """Optional MLM warm-up of the token encoder, then joint MSP training.
 
     Checkpoints (model + decoder + MLM head) are saved periodically and at
-    the end; a non-finite loss aborts with the last checkpoint on disk.
+    the end, each with a ``loss.csv`` of the steps up to it; a non-finite
+    loss aborts with the last checkpoint on disk.
     """
     if not encodeds:
         raise ValueError("pretraining corpus is empty")
@@ -345,6 +346,8 @@ def pretrain_run(
                 vocab=vocab,
                 meta={"phase": tag, "step": state.step},
             )
+            write_csv(os.path.join(out_dir, "loss.csv"), ["step", "phase", "loss"],
+                      state.loss_history)
 
     phases = [("mlm", schedule.mlm_steps), ("msp", schedule.msp_steps)]
     save("init")
@@ -391,7 +394,4 @@ def pretrain_run(
             if schedule.checkpoint_every and state.step % schedule.checkpoint_every == 0:
                 save(phase)
     save("final")
-    if out_dir is not None:
-        write_csv(os.path.join(out_dir, "loss.csv"), ["step", "phase", "loss"],
-                  state.loss_history)
     return state

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import bundled_corpus_path, per_head_names, synthesize_corpus
-from linesift import checkpoint, parallel
+from linesift import checkpoint, finetune, parallel, pretrain
 from linesift.cli import main
 from linesift.corpus import load_corpus, save_corpus
 from linesift.model import HierarchicalModel, load_bundle
@@ -100,7 +100,8 @@ class TestConvert:
         assert len(samples) == 1
         assert (out / "run_config.json").exists()
 
-    @pytest.mark.parametrize("column, cell", [("target", "abc"), ("flaw_line_index", "x")])
+    @pytest.mark.parametrize("column, cell", [("target", "abc"), ("flaw_line_index", "x"),
+                                              ("flaw_line_index", "1.5")])
     def test_malformed_cell_exits_2_naming_the_row(self, tmp_path, capsys, column, cell):
         csv_path = tmp_path / "in.csv"
         rows = [{"processed_func": "a\nb", "target": "1", "flaw_line_index": "0"}] * 2
@@ -193,6 +194,25 @@ class TestPretrainCommand:
         assert code == 2
         assert "--max-decode-len" in capsys.readouterr().err
 
+    def test_divergence_keeps_the_loss_history_of_the_checkpoint(self, tmp_path,
+                                                                 corpus_path, monkeypatch):
+        backward_sum = pretrain.backward_sum
+        calls = []
+
+        def nan_on_third_step(losses):
+            calls.append(None)
+            value = backward_sum(losses)
+            return math.nan if len(calls) == 3 else value
+
+        monkeypatch.setattr(pretrain, "backward_sum", nan_on_third_step)
+        out = tmp_path / "pt"
+        assert main(["pretrain", "--corpus", corpus_path, "--out", str(out),
+                     "--steps", "5", "--batch", "2", "--checkpoint-every", "2",
+                     "--vocab-size", "512"]) == 1
+        assert load_bundle(str(out / "checkpoint"))[3]["step"] == 2
+        with open(out / "loss.csv", newline="") as fh:
+            assert [r["step"] for r in csv.DictReader(fh)] == ["1", "2"]
+
     def test_bundled_corpus_short_run_reduces_loss(self, tmp_path):
         out = tmp_path / "pt"
         code = main([
@@ -229,6 +249,9 @@ class TestFinetuneCommand:
 
     def test_resume_matches_uninterrupted(self, tmp_path, corpus_path):
         self._check_resume(tmp_path, corpus_path)
+
+    def test_resume_after_a_kill_matches_uninterrupted(self, tmp_path, corpus_path):
+        self._check_resume(tmp_path, corpus_path, kill=True)
 
     def test_resume_from_per_head_last_matches_uninterrupted(self, tmp_path,
                                                              corpus_path):
@@ -298,7 +321,7 @@ class TestFinetuneCommand:
         assert code == 2
         assert f"{out / name} is not a" in capsys.readouterr().err
 
-    def _check_resume(self, tmp_path, corpus_path, edit_last=None):
+    def _check_resume(self, tmp_path, corpus_path, edit_last=None, kill=False):
         # with this seed the best evaluation F1 comes in the first epoch, so
         # a resume that forgot it would pick a later one
         args = ["--corpus", corpus_path, "--batch", "6", "--lr", "3e-3",
@@ -309,8 +332,25 @@ class TestFinetuneCommand:
                      "--epochs", "4"]) == 0
         assert json.loads((full / "metrics.json").read_text())["best_epoch"] < 2
         parted = tmp_path / "parted"
-        assert main(["finetune", *args, "--out", str(parted),
-                     "--epochs", "2"]) == 0
+        if kill:
+            # a 4-epoch run whose first step of the third epoch raises, as a
+            # kill there would stop it
+            with open(full / "loss.csv", newline="") as fh:
+                two_epochs = sum(int(r["epoch"]) < 2 for r in csv.DictReader(fh))
+            adamw_step = finetune.adamw_step
+
+            def killed(params, opt):
+                if opt.t == two_epochs:
+                    raise RuntimeError("killed")
+                adamw_step(params, opt)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(finetune, "adamw_step", killed)
+                assert main(["finetune", *args, "--out", str(parted),
+                             "--epochs", "4"]) == 1
+        else:
+            assert main(["finetune", *args, "--out", str(parted),
+                         "--epochs", "2"]) == 0
         if edit_last is not None:
             edit_last(parted)
         assert main(["finetune", *args, "--out", str(parted),

@@ -97,14 +97,18 @@ class TestVocab:
             build_vocab([sample("a")], max_size=3)
 
     def test_save_load_round_trip(self, tmp_path):
-        v = build_vocab([sample("foo bar foo")], max_size=64)
-        path = tmp_path / "vocab.txt"
-        v.save(str(path))
-        lines = path.read_text().split("\n")[:-1]
-        assert lines[: len(RESERVED_TOKENS)] == list(RESERVED_TOKENS)
-        assert lines.index("foo") == v.ids["foo"]  # line number = id
-        loaded = Vocab.load(str(path))
-        assert loaded.tokens == v.tokens
+        # a string literal's token may hold a character that universal-newline
+        # reading or str.splitlines would take for a line break
+        for code in ("foo bar foo", 'foo = "a\rb" ;', 'foo = "c\x85d" ;',
+                     'foo = "e\u2028f" ;'):
+            v = build_vocab([sample(code)], max_size=64)
+            path = tmp_path / "vocab.txt"
+            v.save(str(path))
+            lines = path.read_bytes().decode("utf-8").split("\n")[:-1]
+            assert lines[: len(RESERVED_TOKENS)] == list(RESERVED_TOKENS)
+            assert lines.index("foo") == v.ids["foo"]  # line number = id
+            loaded = Vocab.load(str(path))
+            assert loaded.tokens == v.tokens, code
 
 
 class TestEncode:

@@ -46,10 +46,19 @@ class TestEncodeProgram:
         assert len(enc.segment_boundaries) == 4
         heads = DetectionHeads(16, 32, rng, threshold=0.0)  # always rank lines
         forward = model.token_encoder.forward
+        caller = threading.get_ident()
         threads = set()
+        pooled = threading.Event()  # a segment call started off the caller
 
         def recorded(ids):
             threads.add(threading.get_ident())
+            if threading.get_ident() != caller:
+                pooled.set()
+            elif (cores == 2 and parallel._blas_thread_controls()
+                  and np.shares_memory(ids, enc.token_ids[:1])):
+                # else the caller could take every segment before the pool
+                # thread wakes
+                pooled.wait(5)
             return forward(ids)
 
         model.token_encoder.forward = recorded
