@@ -54,7 +54,7 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 
 def _load_corpus(path: str):
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise UsageError(f"corpus file not found: {path}")
     return corpus_mod.load_corpus(path)
 
@@ -112,30 +112,6 @@ def _load_heads(model, arrays, meta) -> DetectionHeads:
     return heads
 
 
-def _float_list(raw: str, flag: str) -> list[float]:
-    try:
-        return [float(x) for x in raw.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {raw!r}") from exc
-
-
-def _percentages(raw: str) -> list[float]:
-    values = _float_list(raw, "--k")
-    if not all(0.0 < k <= 100.0 for k in values):
-        raise UsageError(f"--k values must lie in (0, 100], got {raw!r}")
-    return values
-
-
-def _class_weights(raw: str | None) -> tuple[float, float] | None:
-    if raw is None:
-        return None
-    values = _float_list(raw, "--class-weights")
-    if len(values) != 2 or not all(0.0 < w < math.inf for w in values):
-        raise UsageError(
-            f"--class-weights needs two finite positive numbers, got {raw!r}")
-    return tuple(values)
-
-
 def _bounded(cast, low, high=math.inf, open_low: bool = False):
     """argparse type: a finite ``cast`` value (int or float) from ``low``
     (excluded with ``open_low``) to ``high``."""
@@ -152,11 +128,21 @@ def _bounded(cast, low, high=math.inf, open_low: bool = False):
     return number
 
 
+def _numbers(low, high=math.inf, open_low: bool = False, count: int | None = None):
+    """argparse type: a comma list of ``_bounded(float, low, high, open_low)``
+    values, exactly ``count`` of them when given."""
+    number = _bounded(float, low, high, open_low)
+
+    def numbers(raw: str):
+        values = tuple(number(x) for x in raw.split(","))
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(f"needs {count} comma-separated numbers, got {raw}")
+        return values
+    return numbers
+
+
 def _split_three(args, samples):
-    fractions = _float_list(args.split, "--split")
-    if len(fractions) != 3:
-        raise UsageError(f"--split needs three comma-separated fractions, got {args.split!r}")
-    spec = SplitSpec(*fractions, seed=args.seed)
+    spec = SplitSpec(*args.split, seed=args.seed)
     return corpus_mod.split(samples, spec, stratify=args.stratify)
 
 
@@ -166,7 +152,7 @@ def _split_three(args, samples):
 def cmd_convert(args) -> int:
     _echo_config(args)
     out_path = os.path.join(args.out, "corpus.jsonl")
-    if not os.path.exists(args.csv):
+    if not os.path.isfile(args.csv):
         raise UsageError(f"csv file not found: {args.csv}")
     count = corpus_mod.convert_csv_corpus(
         args.csv,
@@ -251,7 +237,7 @@ def cmd_finetune(args) -> int:
         learning_rate=args.lr,
         lambda_fine=args.lambda_fine,
         seed=args.seed,
-        class_weights=_class_weights(args.class_weights),
+        class_weights=args.class_weights,
         freeze_encoder=args.freeze_encoder,
         early_stop_patience=args.early_stop,
     )
@@ -262,7 +248,11 @@ def cmd_finetune(args) -> int:
         raise UsageError("training split is empty")
 
     resume = None
+    best_dir = os.path.join(args.out, "best")
     if args.resume:
+        # a run writes best/ in its first epoch, before last/
+        if not os.path.isdir(best_dir):
+            raise UsageError(f"cannot resume: {best_dir} is missing")
         model, vocab, arrays, meta = _load_model(os.path.join(args.out, "last"))
         heads = _load_heads(model, arrays, meta)
         resume = (arrays, meta)
@@ -285,10 +275,8 @@ def cmd_finetune(args) -> int:
                           out_dir=args.out, vocab=vocab, resume=resume)
 
     # score the best checkpoint on the evaluation split
-    best_dir = os.path.join(args.out, "best")
-    if os.path.isdir(best_dir):
-        model, vocab, arrays, meta = _load_model(best_dir)
-        heads = _load_heads(model, arrays, {"threshold": args.threshold})
+    model, vocab, arrays, meta = _load_model(best_dir)
+    heads = _load_heads(model, arrays, {"threshold": args.threshold})
     report = coarse_metrics(eval_enc, model, heads)
     report["best_epoch"] = result.best_epoch
     report["train_skipped"] = skipped_tr
@@ -309,7 +297,6 @@ def _select_part(args, splits):
 
 
 def cmd_evaluate(args) -> int:
-    k_values = _percentages(args.k)
     _echo_config(args)
     model, vocab, arrays, meta = _load_model(args.checkpoint)
     heads = _load_heads(model, arrays, meta)
@@ -321,7 +308,7 @@ def cmd_evaluate(args) -> int:
     if not encodeds:
         raise UsageError("no encodable samples in the selected split")
     reports = list(map_ordered(
-        lambda e: predict(e, model, heads, k_percent=k_values[0]), encodeds))
+        lambda e: predict(e, model, heads, k_percent=args.k[0]), encodeds))
     write_reports_jsonl(reports, os.path.join(args.out, "predictions.jsonl"))
 
     labels = [e.label for e in encodeds]
@@ -345,7 +332,7 @@ def cmd_evaluate(args) -> int:
         ))
     summary["topk"] = {
         str(k): metrics_mod.topk_accuracy(records, k, detail=True)
-        for k in k_values
+        for k in args.k
     }
     summary["skipped"] = skipped
     with open(os.path.join(args.out, "metrics.json"), "w") as fh:
@@ -361,7 +348,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    k_percent = _percentages(args.k)[0]
     _echo_config(args)
     model, vocab, arrays, meta = _load_model(args.checkpoint)
     heads = _load_heads(model, arrays, meta)
@@ -371,7 +357,7 @@ def cmd_explain(args) -> int:
         raise UsageError(f"sample id {args.id!r} not found in corpus")
     sample = matching[0]
     encoded = encode(sample, vocab, model.config.m_len)
-    report = predict(encoded, model, heads, k_percent=k_percent)
+    report = predict(encoded, model, heads, k_percent=args.k)
     rows = metrics_mod.export_heatmap(report, sample.code)
     note = None
     if report.coarse_label == 0:
@@ -403,7 +389,7 @@ def _add_vocab_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--split", default="0.8,0.1,0.1",
+    p.add_argument("--split", type=_numbers(0, count=3), default="0.8,0.1,0.1",
                    help="train,evaluation,test fractions")
     p.add_argument("--stratify", action="store_true",
                    help="split per label class")
@@ -420,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert a big_vul-style CSV to JSONL")
     p.add_argument("--csv", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--code-column", default="processed_func")
     p.add_argument("--label-column", default="target")
     p.add_argument("--lines-column", default="flaw_line_index")
@@ -433,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="corpus class and truncation statistics")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     _add_vocab_flags(p)
     p.set_defaults(func=cmd_stats)
 
@@ -466,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_bounded(int, 1), default=8)
     p.add_argument("--lr", type=_bounded(float, 0, open_low=True), default=2e-3)
     p.add_argument("--lambda-fine", type=_bounded(float, 0), default=1.0)
-    p.add_argument("--class-weights", default=None,
-                   help="comma pair, e.g. 1.0,16.3")
+    p.add_argument("--class-weights", type=_numbers(0, open_low=True, count=2),
+                   default=None, help="comma pair, e.g. 1.0,16.3")
     p.add_argument("--threshold", type=_bounded(float, 0, 1), default=0.5)
     p.add_argument("--freeze-encoder", action="store_true")
     p.add_argument("--early-stop", type=_bounded(int, 1), default=None)
@@ -483,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split_flags(p)
     p.add_argument("--split-part", choices=("train", "eval", "test", "all"),
                    default="test")
-    p.add_argument("--k", default="2,5,10,20", help="comma list of k percentages")
+    p.add_argument("--k", type=_numbers(0, 100, open_low=True), default="2,5,10,20",
+                   help="comma list of k percentages")
     p.add_argument("--topk-filter", choices=("all", "coarse-correct"),
                    default="all")
     p.set_defaults(func=cmd_evaluate)
@@ -492,9 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--id", required=True)
-    p.add_argument("--k", default="10")
+    p.add_argument("--k", type=_bounded(float, 0, 100, open_low=True), default=10.0)
     p.set_defaults(func=cmd_explain)
 
     return parser

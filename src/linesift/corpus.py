@@ -75,9 +75,10 @@ class SplitSpec:
 
     def validate(self) -> None:
         fr = (self.train, self.evaluation, self.test)
-        if any(f < 0 for f in fr):
+        # written so that a NaN, which fails every comparison, fails them
+        if not all(f >= 0 for f in fr):
             raise CorpusError(f"split fractions must be nonnegative, got {fr}")
-        if abs(sum(fr) - 1.0) > 1e-9:
+        if not abs(sum(fr) - 1.0) <= 1e-9:
             raise CorpusError(f"split fractions must sum to 1, got {fr}")
 
 
@@ -105,12 +106,20 @@ def _sample_from_record(obj: dict, lineno: int) -> FunctionSample:
     return sample
 
 
+def _decoded(raw: bytes, lineno: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"line {lineno}: not UTF-8 ({exc.reason} at byte "
+                          f"{exc.start + 1} of the line)") from None
+
+
 def load_corpus(path: str) -> list[FunctionSample]:
     """Load and validate a JSONL corpus, preserving file order."""
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = _decoded(raw, lineno).strip()
             if not line:
                 continue
             try:
@@ -239,32 +248,38 @@ def convert_csv_corpus(
     are rejected with their CSV row number.
     """
     samples = []
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for rownum, rec in enumerate(reader, start=2):  # header is row 1
-            if code_column not in rec or label_column not in rec:
-                raise CorpusError(
-                    f"row {rownum}: missing column {code_column!r} or {label_column!r}"
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for rownum, rec in enumerate(reader, start=2):  # header is row 1
+                if code_column not in rec or label_column not in rec:
+                    raise CorpusError(
+                        f"row {rownum}: missing column {code_column!r} or {label_column!r}"
+                    )
+                try:
+                    label = int(rec[label_column])
+                    parts = (rec.get(lines_column) or "").replace(";", ",").split(",")
+                    vul_lines = [_line_index(part) + (1 if zero_based_lines else 0)
+                                 for part in parts if label == 1 and part.strip()]
+                except (TypeError, ValueError) as exc:  # "abc", "1.5", short row
+                    raise CorpusError(f"row {rownum}: bad cell ({exc})") from exc
+                sid = rec[id_column] if id_column and rec.get(id_column) else str(rownum - 2)
+                sample = FunctionSample(
+                    id=sid,
+                    code=rec[code_column],
+                    label=label,
+                    vul_lines=frozenset(vul_lines),
+                    cwe=(rec.get(cwe_column) or None) if cwe_column else None,
                 )
-            try:
-                label = int(rec[label_column])
-                parts = (rec.get(lines_column) or "").replace(";", ",").split(",")
-                vul_lines = [_line_index(part) + (1 if zero_based_lines else 0)
-                             for part in parts if label == 1 and part.strip()]
-            except (TypeError, ValueError) as exc:  # "abc", "1.5", short row
-                raise CorpusError(f"row {rownum}: bad cell ({exc})") from exc
-            sid = rec[id_column] if id_column and rec.get(id_column) else str(rownum - 2)
-            sample = FunctionSample(
-                id=sid,
-                code=rec[code_column],
-                label=label,
-                vul_lines=frozenset(vul_lines),
-                cwe=(rec.get(cwe_column) or None) if cwe_column else None,
-            )
-            try:
-                sample.validate()
-            except CorpusError as exc:
-                raise CorpusError(f"row {rownum}: {exc}") from exc
-            samples.append(sample)
+                try:
+                    sample.validate()
+                except CorpusError as exc:
+                    raise CorpusError(f"row {rownum}: {exc}") from exc
+                samples.append(sample)
+    except UnicodeDecodeError:
+        with open(csv_path, "rb") as fh:  # name the file line of the first bad byte
+            for lineno, raw in enumerate(fh, start=1):
+                _decoded(raw, lineno)
+        raise
     save_corpus(samples, out_path)
     return len(samples)

@@ -64,6 +64,9 @@ def add_zero_dropout(bundle):
     ("pretrain", "--vocab-size", "6"), ("finetune", "--vocab-size", "3"),
     ("stats", "--vocab-size", "-1"), ("pretrain", "--min-freq", "0"),
     ("finetune", "--min-freq", "-4"), ("stats", "--min-freq", "0"),
+    ("finetune", "--split", "nan,0.5,0.5"), ("finetune", "--split", "0.8,0.1,nan"),
+    ("finetune", "--split", "0.5,0.5"), ("evaluate", "--split", "-0.1,0.6,0.5"),
+    ("evaluate", "--split", "0.6,-0.1,0.5"), ("explain", "--k", "10,20"),
 ])
 def test_bad_numeric_flag_exits_2_before_any_input_is_read(tmp_path, capsys,
                                                            command, flag, value):
@@ -82,6 +85,12 @@ def test_smallest_vocab_flags_are_accepted(tmp_path, corpus_path):
     assert main(["stats", "--corpus", corpus_path, "--out", str(out),
                  "--vocab-size", "7", "--min-freq", "1"]) == 0
     assert json.loads((out / "stats.json").read_text())["vocab_size"] == 7
+
+
+@pytest.mark.parametrize("command, flag", [("stats", "--corpus"), ("convert", "--csv")])
+def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys, command, flag):
+    assert main([command, flag, str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 class TestConvert:
@@ -304,6 +313,16 @@ class TestFinetuneCommand:
                 with open(parted / name, "a") as fh:
                     fh.write(row)
         self._check_resume(tmp_path, corpus_path, stopped_before_last)
+
+    def test_resume_without_best_exits_2(self, tmp_path, corpus_path, capsys):
+        args = ["--corpus", corpus_path, "--out", str(tmp_path), "--batch", "6",
+                "--seed", "1", "--split", "0.6,0.2,0.2", "--vocab-size", "512"]
+        assert main(["finetune", *args, "--epochs", "2"]) == 0
+        shutil.rmtree(tmp_path / "best")
+        weights = (tmp_path / "last" / "weights.bin").read_bytes()
+        assert main(["finetune", *args, "--epochs", "4", "--resume"]) == 2
+        assert str(tmp_path / "best") in capsys.readouterr().err
+        assert (tmp_path / "last" / "weights.bin").read_bytes() == weights
 
     @pytest.mark.parametrize("name, edit", [
         ("loss.csv", lambda text: text.replace("loss", "nll", 1)),

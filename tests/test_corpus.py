@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +73,12 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="line 2"):
             C.load_corpus(str(path))
 
+    def test_line_that_is_not_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"id": "a", "code": "x", "label": 0}\n{"id": "\xff"}\n')
+        with pytest.raises(CorpusError, match="line 2: not UTF-8"):
+            C.load_corpus(str(path))
+
     def test_round_trip_is_content_identical(self, tmp_path, rng):
         samples = synthesize_corpus(12, seed=5)
         p1 = tmp_path / "a.jsonl"
@@ -127,6 +134,12 @@ class TestSplit:
     def test_invalid_fractions(self):
         with pytest.raises(CorpusError):
             C.split([], SplitSpec(0.5, 0.1, 0.1))
+
+    @pytest.mark.parametrize("fractions", [(math.nan, 0.5, 0.5), (0.8, 0.1, math.nan)],
+                             ids=["nan_train", "nan_test"])
+    def test_nan_fraction_rejected(self, fractions):
+        with pytest.raises(CorpusError):
+            SplitSpec(*fractions).validate()
 
 
 class TestClassStats:
@@ -204,6 +217,13 @@ class TestConverter:
         assert samples[0].vul_lines == frozenset({2})  # 0-based 1 -> 1-based 2
         assert samples[0].cwe == "CWE-787"
         assert samples[1].label == 0 and not samples[1].vul_lines
+
+    def test_byte_that_is_not_utf8_reports_file_line(self, tmp_path):
+        csv_path = tmp_path / "bv.csv"
+        # the first record spans file lines 2 and 3
+        csv_path.write_bytes(b'processed_func,target\n"a\nb",0\n"\xff",0\n')
+        with pytest.raises(CorpusError, match="line 4: not UTF-8"):
+            C.convert_csv_corpus(str(csv_path), str(tmp_path / "out.jsonl"))
 
 
 class TestSynthesizedCorpus:

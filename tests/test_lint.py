@@ -1,16 +1,20 @@
 """Static checks over the library source: every imported name is used,
 every function reads each of its parameters, every definition is reached
-from outside its own body, every dataclass field is read, and every
-``__all__`` names something defined.
+from outside its own body, every dataclass field is read, every
+``__all__`` names something defined, and every command-line flag is read by
+its command.
 
 Neither pyflakes nor ruff is a dependency, so these stdlib ``ast`` scans are
 the project's lint. ``__init__.py`` is skipped by the import check: its
 imports are the package's re-exports.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from linesift.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "linesift"
@@ -286,3 +290,66 @@ def test_every_export_is_defined():
     found = {path.name: stale_exports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert "tensor.py" in found
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unread_flags(source: str, parser: argparse.ArgumentParser) -> list[str]:
+    """``command:dest`` of each flag of a subcommand of ``parser`` that its
+    command (the subparser's ``func`` default, a top-level function of
+    ``source``) never reads as ``args.<dest>``, itself or in a top-level
+    function it passes ``args`` on to. ``_echo_config`` dumps every flag, so
+    passing ``args`` to it reads none."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def reads(name: str, param: str) -> set[str]:
+        found = set()
+        for node in ast.walk(functions[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id == param):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in functions and node.func.id != "_echo_config"):
+                callee = functions[node.func.id].args.args
+                found.update(*(reads(node.func.id, callee[i].arg)
+                               for i, arg in enumerate(node.args)
+                               if isinstance(arg, ast.Name) and arg.id == param))
+        return found
+
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    found = []
+    for command, sub in commands.items():
+        read = reads(sub.get_default("func").__name__, "args")
+        found += [f"{command}:{action.dest}" for action in sub._actions
+                  if action.dest != "help" and action.dest not in read]
+    return found
+
+
+def test_checker_flags_an_unread_flag():
+    source = (
+        "import argparse\n"
+        "def _echo_config(args):\n    print(vars(args), args.quiet)\n"
+        "def _size(opts):\n    return opts.size\n"
+        "def _twice(n, opts):\n    return n * _size(opts)\n"
+        "def cmd_run(args):\n    _echo_config(args)\n    return _twice(2, args) + args.jobs\n"
+        "def cmd_stop(args):\n    return 0\n"
+        "def build_parser():\n"
+        "    parser = argparse.ArgumentParser()\n"
+        "    sub = parser.add_subparsers(dest='command')\n"
+        "    p = sub.add_parser('run')\n"
+        "    for flag in ('--jobs', '--size', '--quiet'):\n"
+        "        p.add_argument(flag)\n"
+        "    p.set_defaults(func=cmd_run)\n"
+        "    p = sub.add_parser('stop')\n"
+        "    p.add_argument('--force')\n"
+        "    p.set_defaults(func=cmd_stop)\n"
+        "    return parser\n"
+    )
+    namespace = {}
+    exec(source, namespace)
+    assert unread_flags(source, namespace["build_parser"]()) == ["run:quiet", "stop:force"]
+
+
+def test_every_flag_is_read_by_its_command():
+    found = unread_flags((SRC / "cli.py").read_text(), build_parser())
+    assert found == []
