@@ -46,7 +46,7 @@ def load_tensors(directory: str) -> dict[str, np.ndarray]:
     blob_path = os.path.join(directory, BLOB_NAME)
     with open(blob_path, "rb") as blob:
         raw = blob.read()
-    entries = []
+    entries = {}
     end = 0
     with open(manifest_path) as mf:
         for number, line in enumerate(mf, 1):
@@ -61,10 +61,13 @@ def load_tensors(directory: str) -> dict[str, np.ndarray]:
                     raise ValueError(f"negative extent in shape {shape_s!r}")
             except ValueError as exc:
                 raise CheckpointError(f"{manifest_path} line {number}: {exc}") from exc
+            if name in entries:
+                raise CheckpointError(
+                    f"{manifest_path} line {number}: tensor {name!r} is listed twice")
             if offset != end:
                 raise CheckpointError(
                     f"{manifest_path}: {name!r} starts at byte {offset}, not {end}")
-            entries.append((name, shape, offset))
+            entries[name] = shape, offset
             end += 8 * math.prod(shape)
     if len(raw) != end:
         raise CheckpointError(
@@ -73,7 +76,7 @@ def load_tensors(directory: str) -> dict[str, np.ndarray]:
     return {
         name: np.frombuffer(raw, dtype="<f8", count=math.prod(shape), offset=offset)
         .reshape(shape).astype(np.float64, copy=True)
-        for name, shape, offset in entries
+        for name, (shape, offset) in entries.items()
     }
 
 

@@ -31,6 +31,7 @@ from .finetune import (
 )
 from .model import VOCAB_NAME, BundleConfigError, HierarchicalModel, ModelConfig, load_bundle
 from .parallel import map_ordered
+from .pooling import POOL_KINDS
 from .pretrain import (
     DivergenceError,
     MlmHead,
@@ -150,7 +151,6 @@ def _split_three(args, samples):
 
 
 def cmd_convert(args) -> int:
-    _echo_config(args)
     out_path = os.path.join(args.out, "corpus.jsonl")
     if not os.path.isfile(args.csv):
         raise UsageError(f"csv file not found: {args.csv}")
@@ -169,7 +169,6 @@ def cmd_convert(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _echo_config(args)
     samples = _load_corpus(args.corpus)
     vocab = build_vocab(samples, max_size=args.vocab_size, min_freq=args.min_freq)
 
@@ -193,7 +192,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    _echo_config(args)
     samples = _load_corpus(args.corpus)
     if args.init_from:
         model, vocab, arrays, _ = _load_model(args.init_from)
@@ -241,7 +239,6 @@ def cmd_finetune(args) -> int:
         freeze_encoder=args.freeze_encoder,
         early_stop_patience=args.early_stop,
     )
-    _echo_config(args)
     samples = _load_corpus(args.corpus)
     train_s, eval_s, test_s = _split_three(args, samples)
     if not train_s:
@@ -297,7 +294,6 @@ def _select_part(args, splits):
 
 
 def cmd_evaluate(args) -> int:
-    _echo_config(args)
     model, vocab, arrays, meta = _load_model(args.checkpoint)
     heads = _load_heads(model, arrays, meta)
     samples = _load_corpus(args.corpus)
@@ -326,8 +322,7 @@ def cmd_evaluate(args) -> int:
             line for line, flag in zip(enc.orig_lines, enc.vul_flags) if flag
         )
         records.append(metrics_mod.LocalizationRecord(
-            id=enc.id, truth=truth,
-            ranked=tuple(s["line"] for s in rep.statements),
+            truth=truth, ranked=tuple(s["line"] for s in rep.statements),
             total_lines=enc.L,
         ))
     summary["topk"] = {
@@ -348,7 +343,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    _echo_config(args)
     model, vocab, arrays, meta = _load_model(args.checkpoint)
     heads = _load_heads(model, arrays, meta)
     samples = _load_corpus(args.corpus)
@@ -374,7 +368,7 @@ def cmd_explain(args) -> int:
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m-len", type=int, choices=M_LEN_CHOICES, default=512,
                    help="maximum accepted token-stream length")
-    p.add_argument("--t2s", choices=("average", "weighted", "attention"),
+    p.add_argument("--t2s", choices=POOL_KINDS,
                    default="average", help="token-to-statement strategy")
     p.add_argument("--strategy-preset", choices=sorted(PRESETS),
                    default="desk-2x64x4", help="encoder size preset")
@@ -424,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="masked-statement (and token) pretraining")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     _add_model_flags(p)
     p.add_argument("--steps", type=_bounded(int, 0), default=300,
                    help="masked-statement steps")
@@ -442,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune", help="staged supervised detection training")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--checkpoint", default=None, help="pretrained model to start from")
     _add_model_flags(p)
     _add_split_flags(p)
@@ -463,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     _add_split_flags(p)
     p.add_argument("--split-part", choices=("train", "eval", "test", "all"),
                    default="test")
@@ -491,6 +485,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _echo_config(args)
         return args.func(args)
     except (UsageError, CorpusError, EncodingError, CheckpointError,
             FileNotFoundError) as exc:

@@ -56,9 +56,9 @@ class DetectionHeads:
         self.stmt = Mlp(hidden, ffn_hidden, 2, rng)
         self.threshold = threshold
 
-    def parameters(self, prefix: str = "heads"):
-        yield from self.dnet.parameters(f"{prefix}.dnet_")
-        yield from self.stmt.parameters(f"{prefix}.stmt_")
+    def parameters(self):
+        yield from self.dnet.parameters("heads.dnet_")
+        yield from self.stmt.parameters("heads.stmt_")
 
     def coarse_logits_raw(self, program_vector: Tensor) -> Tensor:
         return self.dnet(program_vector)
@@ -308,8 +308,12 @@ def finetune_run(
     start_epoch = 0
     if resume is not None:
         arrays, meta = resume
-        start_epoch = int(meta.get("epoch", 0))
-        opt.t = int(meta.get("opt_t", 0))
+        # load_bundle has checked the types and signs of these counters
+        try:
+            start_epoch, opt.t, result.best_f1, result.best_epoch = (
+                meta[key] for key in ("epoch", "opt_t", "best_f1", "best_epoch"))
+        except KeyError as exc:
+            raise CheckpointError(f"cannot resume: meta {exc.args[0]} is missing") from None
         # an opt.m./opt.v. tensor of each trained parameter's shape, or a
         # CheckpointError naming it
         for kind, moments in (("m", opt.m), ("v", opt.v)):
@@ -317,8 +321,6 @@ def finetune_run(
             load_into(((f"opt.{kind}.{name}", slot) for name, slot in slots), arrays)
             moments.update((name, slot.data) for name, slot in slots)
         result.loss_history, result.eval_history = _read_histories(out_dir, start_epoch)
-        result.best_f1 = float(meta.get("best_f1", result.best_f1))
-        result.best_epoch = int(meta.get("best_epoch", result.best_epoch))
 
     def arrays(include_opt: bool) -> dict:
         out = model.state_arrays()

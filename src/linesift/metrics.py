@@ -90,7 +90,6 @@ def classification_metrics(counts: ConfusionCounts) -> dict:
 class LocalizationRecord:
     """Ground truth and ranked prediction lines for one vulnerable sample."""
 
-    id: str
     truth: frozenset[int]          # ground-truth vulnerable line numbers
     ranked: tuple[int, ...]        # predicted lines, best first (may be empty)
     total_lines: int               # retained line count L

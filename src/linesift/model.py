@@ -37,7 +37,8 @@ class BundleConfigError(ValueError):
     """A bundle's config file does not parse or does not describe a model."""
 
 
-# the meta entries that a command reads back, and the type each must have
+# the meta entries that a command reads back, and the type each must have;
+# the integers count epochs and steps, so they are non-negative too
 _META_TYPES = {"epoch": int, "opt_t": int, "best_epoch": int,
                "threshold": (int, float), "best_f1": (int, float)}
 
@@ -107,9 +108,9 @@ class HierarchicalModel:
     # -- parameter plumbing ---------------------------------------------------
 
     def parameters(self) -> dict[str, Tensor]:
-        params = dict(self.token_encoder.parameters("te"))
-        params.update(self.pool.parameters("t2s"))
-        params.update(self.statement_encoder.parameters("se"))
+        params = dict(self.token_encoder.parameters())
+        params.update(self.pool.parameters())
+        params.update(self.statement_encoder.parameters())
         return params
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -215,6 +216,8 @@ def load_bundle(directory: str):
             for key, kind in _META_TYPES.items():
                 if key in meta:
                     _check_type(f"meta {key}", meta[key], kind)
+                    if kind is int and meta[key] < 0:
+                        raise BundleConfigError(f"meta {key} {meta[key]!r} is negative")
             if not 0.0 <= meta.get("threshold", 0.5) <= 1.0:  # NaN fails too
                 raise BundleConfigError(f"meta threshold {meta['threshold']!r} is not in [0, 1]")
         except (KeyError, TypeError, ValueError) as exc:

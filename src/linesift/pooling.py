@@ -27,9 +27,7 @@ POOL_KINDS = ("average", "weighted", "attention")
 
 
 class AveragePool:
-    kind = "average"
-
-    def parameters(self, prefix: str = "t2s"):
+    def parameters(self):
         return iter(())
 
     def apply(self, tokens: Tensor, spans: list[tuple[int, int]]) -> Tensor:
@@ -44,13 +42,11 @@ class WeightedPool:
     at zero, which makes the initial behavior identical to averaging.
     """
 
-    kind = "weighted"
-
     def __init__(self, m_len: int):
         self.position_weight = T.parameter(np.zeros(m_len))
 
-    def parameters(self, prefix: str = "t2s"):
-        yield f"{prefix}.position_weight", self.position_weight
+    def parameters(self):
+        yield "t2s.position_weight", self.position_weight
 
     def apply(self, tokens: Tensor, spans: list[tuple[int, int]]) -> Tensor:
         n = tokens.shape[0]
@@ -65,15 +61,13 @@ class WeightedPool:
 class AttentionPool:
     """Weights from attention of each token against the global [CLS] row."""
 
-    kind = "attention"
-
     def __init__(self, hidden: int, rng: np.random.Generator):
         self.q_proj = T.parameter(rng.normal(0.0, 0.02, (hidden, hidden)))
         self.k_proj = T.parameter(rng.normal(0.0, 0.02, (hidden, hidden)))
 
-    def parameters(self, prefix: str = "t2s"):
-        yield f"{prefix}.q_proj", self.q_proj
-        yield f"{prefix}.k_proj", self.k_proj
+    def parameters(self):
+        yield "t2s.q_proj", self.q_proj
+        yield "t2s.k_proj", self.k_proj
 
     def apply(self, tokens: Tensor, spans: list[tuple[int, int]]) -> Tensor:
         q = tokens.rows(0, 1) @ self.q_proj                   # [1 x d]

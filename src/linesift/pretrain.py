@@ -63,7 +63,6 @@ class MaskedLine:
 
 @dataclass(frozen=True)
 class MaskPlan:
-    seed: int
     lines: tuple[MaskedLine, ...]
 
 
@@ -94,7 +93,7 @@ def make_mask_plan(encoded: EncodedSample, vocab_size: int, seed: int) -> MaskPl
             action = "keep"
             replacement = original
         lines.append(MaskedLine(int(idx), action, original, replacement))
-    return MaskPlan(seed=seed, lines=tuple(lines))
+    return MaskPlan(lines=tuple(lines))
 
 
 def apply_mask_plan(encoded: EncodedSample, plan: MaskPlan) -> EncodedSample:
@@ -142,13 +141,13 @@ class MspDecoder:
         self.proj_w = w((hidden, vocab_size))
         self.proj_b = T.parameter(np.zeros(vocab_size))
 
-    def parameters(self, prefix: str = "decoder"):
+    def parameters(self):
         for gate, (wx, wh, b) in self.gates.items():
-            yield f"{prefix}.{gate}.wx", wx
-            yield f"{prefix}.{gate}.wh", wh
-            yield f"{prefix}.{gate}.b", b
-        yield f"{prefix}.proj_w", self.proj_w
-        yield f"{prefix}.proj_b", self.proj_b
+            yield f"decoder.{gate}.wx", wx
+            yield f"decoder.{gate}.wh", wh
+            yield f"decoder.{gate}.b", b
+        yield "decoder.proj_w", self.proj_w
+        yield "decoder.proj_b", self.proj_b
 
     def _step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         def gate(name, activation):
@@ -222,8 +221,8 @@ class MlmHead:
                  rng: np.random.Generator):
         self.mlp = Mlp(hidden, ffn_hidden, vocab_size, rng)
 
-    def parameters(self, prefix: str = "mlm"):
-        return self.mlp.parameters(f"{prefix}.")
+    def parameters(self):
+        return self.mlp.parameters("mlm.")
 
     def logits(self, token_vectors: Tensor) -> Tensor:
         return self.mlp(token_vectors)
@@ -355,7 +354,7 @@ def pretrain_run(
         if steps == 0:
             continue
         if phase == "mlm":
-            params = dict(model.token_encoder.parameters("te"))
+            params = dict(model.token_encoder.parameters())
             params.update(dict(mlm_head.parameters()))
         else:
             params = model.parameters()

@@ -145,10 +145,10 @@ class TokenEncoder:
         self.pos_emb = _normal(rng, (SEGMENT_TOKENS, cfg.hidden))
         self.stack = EncoderStack(cfg, rng)
 
-    def parameters(self, prefix: str = "te"):
-        yield f"{prefix}.tok_emb", self.tok_emb
-        yield f"{prefix}.pos_emb", self.pos_emb
-        yield from self.stack.parameters(prefix)
+    def parameters(self):
+        yield "te.tok_emb", self.tok_emb
+        yield "te.pos_emb", self.pos_emb
+        yield from self.stack.parameters("te")
 
     def forward(self, token_ids, attention_sink: list | None = None) -> Tensor:
         ids = np.asarray(token_ids, dtype=np.int64)
@@ -173,10 +173,10 @@ class StatementEncoder:
         self.summary = _normal(rng, (1, cfg.hidden))
         self.stack = EncoderStack(cfg, rng)
 
-    def parameters(self, prefix: str = "se"):
-        yield f"{prefix}.pos_emb", self.pos_emb
-        yield f"{prefix}.summary", self.summary
-        yield from self.stack.parameters(prefix)
+    def parameters(self):
+        yield "se.pos_emb", self.pos_emb
+        yield "se.summary", self.summary
+        yield from self.stack.parameters("se")
 
     def forward(self, statement_inputs: Tensor) -> tuple[Tensor, Tensor]:
         L = statement_inputs.shape[0]

@@ -275,7 +275,7 @@ def test_criterion_5_metric_oracles():
                                        size=int(rng.integers(1, 5)),
                                        replace=False)
         )
-        records.append(LocalizationRecord(f"r{i}", truth, ranked, total))
+        records.append(LocalizationRecord(truth, ranked, total))
 
     for k in (2, 5, 10, 20):
         hits = 0
@@ -313,7 +313,7 @@ def test_criterion_6_end_to_end_overfit(overfit_run):
             line for line, flag in zip(enc.orig_lines, enc.vul_flags) if flag
         )
         records.append(LocalizationRecord(
-            enc.id, truth, tuple(s["line"] for s in rep.statements), enc.L
+            truth, tuple(s["line"] for s in rep.statements), enc.L
         ))
     top10 = topk_accuracy(records, 10)
     assert summary["f1"] == 1.0

@@ -67,6 +67,7 @@ def add_zero_dropout(bundle):
     ("finetune", "--split", "nan,0.5,0.5"), ("finetune", "--split", "0.8,0.1,nan"),
     ("finetune", "--split", "0.5,0.5"), ("evaluate", "--split", "-0.1,0.6,0.5"),
     ("evaluate", "--split", "0.6,-0.1,0.5"), ("explain", "--k", "10,20"),
+    ("pretrain", "--seed", "-1"), ("finetune", "--seed", "-1"), ("evaluate", "--seed", "-1"),
 ])
 def test_bad_numeric_flag_exits_2_before_any_input_is_read(tmp_path, capsys,
                                                            command, flag, value):
@@ -323,6 +324,28 @@ class TestFinetuneCommand:
         assert main(["finetune", *args, "--epochs", "4", "--resume"]) == 2
         assert str(tmp_path / "best") in capsys.readouterr().err
         assert (tmp_path / "last" / "weights.bin").read_bytes() == weights
+
+    @pytest.mark.parametrize("key, value", [
+        ("opt_t", None), ("epoch", None), ("epoch", -1), ("opt_t", -3),
+    ], ids=["no_opt_t", "no_epoch", "negative_epoch", "negative_opt_t"])
+    def test_resume_with_bad_counter_exits_2(self, finetuned, corpus_path, tmp_path,
+                                             capsys, key, value):
+        out = tmp_path / "ft"
+        shutil.copytree(finetuned, out)
+        config = out / "last" / "config.json"
+        payload = json.loads(config.read_text())
+        if value is None:
+            del payload["meta"][key]
+        else:
+            payload["meta"][key] = value
+        config.write_text(json.dumps(payload))
+        weights = (out / "last" / "weights.bin").read_bytes()
+        code = main(["finetune", "--corpus", corpus_path, "--out", str(out),
+                     "--epochs", "9", "--batch", "6", "--lr", "3e-3", "--seed", "1",
+                     "--split", "0.6,0.2,0.2", "--vocab-size", "512", "--resume"])
+        assert code == 2
+        assert f"meta {key} " in capsys.readouterr().err
+        assert (out / "last" / "weights.bin").read_bytes() == weights
 
     @pytest.mark.parametrize("name, edit", [
         ("loss.csv", lambda text: text.replace("loss", "nll", 1)),

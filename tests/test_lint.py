@@ -52,8 +52,6 @@ def test_library_has_no_unused_imports():
 
 # (module, function, parameter) -> why the function may leave it unread
 UNREAD_ALLOWED = {
-    ("pooling.py", "AveragePool.parameters", "prefix"):
-        "shares its signature with the other pools' parameters()",
     ("finetune.py", "finetune_loss", "training"):
         "the benchmark's fine-tune warm step still passes training=True",
 }

@@ -44,8 +44,7 @@ def random_record(rng, i):
     truth = frozenset(int(x) for x in rng.choice(
         np.arange(1, total + 1), size=n_truth, replace=False
     ))
-    return LocalizationRecord(id=f"r{i}", truth=truth, ranked=ranked,
-                              total_lines=total)
+    return LocalizationRecord(truth=truth, ranked=ranked, total_lines=total)
 
 
 class TestClassificationMetrics:
@@ -84,31 +83,31 @@ class TestClassificationMetrics:
 
 class TestTopkAccuracy:
     def test_hit(self):
-        rec = LocalizationRecord("a", frozenset({4}), (4, 2, 9), 20)
+        rec = LocalizationRecord(frozenset({4}), (4, 2, 9), 20)
         assert topk_accuracy([rec], 5) == 1.0  # prefix = max(1, ceil(1)) = 1
 
     def test_miss(self):
-        rec = LocalizationRecord("a", frozenset({9}), (4, 2, 9), 20)
+        rec = LocalizationRecord(frozenset({9}), (4, 2, 9), 20)
         assert topk_accuracy([rec], 5) == 0.0
 
     def test_empty_truth_excluded_and_counted(self):
         recs = [
-            LocalizationRecord("a", frozenset(), (1, 2), 5),
-            LocalizationRecord("b", frozenset({1}), (1, 2), 5),
+            LocalizationRecord(frozenset(), (1, 2), 5),
+            LocalizationRecord(frozenset({1}), (1, 2), 5),
         ]
         detail = topk_accuracy(recs, 10, detail=True)
         assert detail == {"accuracy": 1.0, "evaluated": 1, "excluded": 1,
                           "hits": 1}
 
     def test_empty_ranking_is_a_miss(self):
-        rec = LocalizationRecord("gated", frozenset({3}), (), 10)
+        rec = LocalizationRecord(frozenset({3}), (), 10)
         assert topk_accuracy([rec], 20) == 0.0
 
     def test_prefix_takes_the_product_first(self):
         # 7 / 100.0 * 100 is 7.000000000000001, which ceil takes to 8
         assert prefix_size(7, 100) == 7
         assert prefix_size(14, 50) == 7
-        rec = LocalizationRecord("a", frozenset({8}), tuple(range(1, 101)), 100)
+        rec = LocalizationRecord(frozenset({8}), tuple(range(1, 101)), 100)
         assert topk_accuracy([rec], 7) == 0.0
 
     def test_k_range_validated(self):
@@ -125,7 +124,7 @@ class TestTopkAccuracy:
 
 class TestSweep:
     def test_single_hit_constant_curve(self):
-        rec = LocalizationRecord("a", frozenset({1}), (1, 2, 3), 3)
+        rec = LocalizationRecord(frozenset({1}), (1, 2, 3), 3)
         curve = sweep_topk([rec])
         assert all(acc == 1.0 for _, acc in curve)
         assert [k for k, _ in curve] == [float(k) for k in range(2, 21)]

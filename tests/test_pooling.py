@@ -192,9 +192,9 @@ class TestSharedProperties:
             assert np.max(np.abs(out[0] - v)) < 1e-12
 
     def test_factory(self, rng):
-        assert make_pool("average", 8, 64, rng).kind == "average"
-        assert make_pool("weighted", 8, 64, rng).kind == "weighted"
-        assert make_pool("attention", 8, 64, rng).kind == "attention"
+        assert isinstance(make_pool("average", 8, 64, rng), AveragePool)
+        assert isinstance(make_pool("weighted", 8, 64, rng), WeightedPool)
+        assert isinstance(make_pool("attention", 8, 64, rng), AttentionPool)
         with pytest.raises(ValueError):
             make_pool("maxpool", 8, 64, rng)
 
@@ -206,4 +206,4 @@ class TestSharedProperties:
                 tokens = T.parameter(rng.normal(size=(41, 6)))
                 spans = [(o, o + 40 // lines) for o in range(1, 41, 40 // lines)]
                 sizes.add(len(T._topo_order(pool.apply(tokens, spans))))
-            assert len(sizes) == 1, (pool.kind, sizes)
+            assert len(sizes) == 1, (type(pool).__name__, sizes)

@@ -105,7 +105,7 @@ class TestApplyMaskPlan:
         enc = make_encoded(rng, 30, vocab_size=VOCAB)
         o, p = enc.line_spans[0]
         original = tuple(int(t) for t in enc.token_ids[o:p])
-        plan = MaskPlan(seed=0, lines=(
+        plan = MaskPlan(lines=(
             MaskedLine(0, "keep", original, original),
         ))
         masked = apply_mask_plan(enc, plan)
@@ -116,7 +116,7 @@ class TestApplyMaskPlan:
         idx = 1 if enc.L > 1 else 0
         o, p = enc.line_spans[idx]
         original = tuple(int(t) for t in enc.token_ids[o:p])
-        plan = MaskPlan(seed=0, lines=(
+        plan = MaskPlan(lines=(
             MaskedLine(idx, "mask_all", original, (MASK,) * (p - o)),
         ))
         masked = apply_mask_plan(enc, plan)
@@ -249,7 +249,7 @@ class TestBatchedDecoder:
         for i, (o, p) in enumerate(enc.line_spans):
             original = tuple(int(t) for t in enc.token_ids[o:p])
             lines.append(MaskedLine(i, "keep", original, original))
-        plan = MaskPlan(seed=0, lines=tuple(lines))
+        plan = MaskPlan(lines=tuple(lines))
         long_lines = sum(len(line.original_ids) > 3 for line in lines)
         assert 0 < long_lines < len(lines)
         _, info = msp_loss(enc, plan, model, decoder)

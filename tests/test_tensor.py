@@ -600,3 +600,11 @@ class TestCheckpoint:
         manifest.write_text("a\t3\t0\nb\t2,-1\t24\nc\t2,1\t8\n")
         with pytest.raises(checkpoint.CheckpointError, match="line 2: negative extent"):
             checkpoint.load_tensors(str(tmp_path))
+
+    def test_repeated_name(self, tmp_path):
+        # the entries tile the blob, so only the repeated name is wrong
+        blob, manifest = self._saved(tmp_path)
+        blob.write_bytes(bytes(40))
+        manifest.write_text("a\t3\t0\na\t2\t24\n")
+        with pytest.raises(checkpoint.CheckpointError, match="line 2: tensor 'a' is listed twice"):
+            checkpoint.load_tensors(str(tmp_path))
