@@ -48,12 +48,12 @@ def load_tensors(directory: str) -> dict[str, np.ndarray]:
         raw = blob.read()
     entries = {}
     end = 0
-    with open(manifest_path) as mf:
-        for number, line in enumerate(mf, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    with open(manifest_path, "rb") as mf:
+        for number, line_bytes in enumerate(mf, 1):
             try:
+                line = line_bytes.decode("utf-8").rstrip("\n")  # not UTF-8: a ValueError
+                if not line:
+                    continue
                 name, shape_s, offset_s = line.split("\t")
                 shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
                 offset = int(offset_s)

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -484,12 +485,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    echo, before = Path(args.out, "run_config.json"), None
     try:
+        if echo.is_file():
+            before = echo.read_bytes()
         _echo_config(args)
         return args.func(args)
     except (UsageError, CorpusError, EncodingError, CheckpointError,
-            FileNotFoundError) as exc:
+            FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if before is not None:  # a refused command leaves the run's echo as it was
+            echo.write_bytes(before)
+        elif echo.is_file():
+            echo.unlink()
         return 2
     except DivergenceError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)

@@ -115,8 +115,8 @@ def _decoded(raw: bytes, lineno: int) -> str:
 
 
 def load_corpus(path: str) -> list[FunctionSample]:
-    """Load and validate a JSONL corpus, preserving file order."""
-    samples = []
+    """Load and validate a JSONL corpus, preserving file order; ids are unique."""
+    samples, first_line = [], {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = _decoded(raw, lineno).strip()
@@ -126,7 +126,11 @@ def load_corpus(path: str) -> list[FunctionSample]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            samples.append(_sample_from_record(obj, lineno))
+            sample = _sample_from_record(obj, lineno)
+            seen = first_line.setdefault(sample.id, lineno)
+            if seen != lineno:
+                raise CorpusError(f"line {lineno}: id {sample.id!r} repeats line {seen}")
+            samples.append(sample)
     return samples
 
 
@@ -244,10 +248,10 @@ def convert_csv_corpus(
 
     Flaw line indices are comma-separated in the CSV and 0-based by
     convention; they come out as 1-based ``vul_lines``. Returns the number
-    of converted records. Records whose converted form violates the schema
-    are rejected with their CSV row number.
+    of converted records. Records whose converted form violates the schema,
+    or repeat an earlier record's id, are rejected with their CSV row number.
     """
-    samples = []
+    samples, first_row = [], {}
     try:
         with open(csv_path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -264,6 +268,9 @@ def convert_csv_corpus(
                 except (TypeError, ValueError) as exc:  # "abc", "1.5", short row
                     raise CorpusError(f"row {rownum}: bad cell ({exc})") from exc
                 sid = rec[id_column] if id_column and rec.get(id_column) else str(rownum - 2)
+                seen = first_row.setdefault(sid, rownum)
+                if seen != rownum:
+                    raise CorpusError(f"row {rownum}: id {sid!r} repeats row {seen}")
                 sample = FunctionSample(
                     id=sid,
                     code=rec[code_column],

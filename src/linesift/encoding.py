@@ -92,8 +92,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, encoding="utf-8", newline="") as fh:
-            tokens = fh.read().split("\n")
+        try:
+            with open(path, encoding="utf-8", newline="") as fh:
+                tokens = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"{path}: not UTF-8 at byte {exc.start + 1}") from None
         if tokens and tokens[-1] == "":
             tokens.pop()
         return cls(tokens)

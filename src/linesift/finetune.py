@@ -20,13 +20,13 @@ from functools import partial, reduce
 import numpy as np
 
 from . import tensor as T
-from .tensor import OptimizerState, Tensor, adamw_step
+from .tensor import OptimizerState, Tensor
 from .encoding import EncodedSample
-from .checkpoint import CheckpointError, load_into
+from .checkpoint import CheckpointError
 from .metrics import ConfusionCounts, classification_metrics, prefix_size, write_csv
-from .model import HierarchicalModel, save_bundle
-from .parallel import backward_sum, map_ordered
-from .pretrain import DivergenceError
+from .model import HierarchicalModel, load_moments, save_run
+from .parallel import map_ordered
+from .pretrain import train_step
 from .transformer import Mlp
 
 __all__ = [
@@ -314,29 +314,8 @@ def finetune_run(
                 meta[key] for key in ("epoch", "opt_t", "best_f1", "best_epoch"))
         except KeyError as exc:
             raise CheckpointError(f"cannot resume: meta {exc.args[0]} is missing") from None
-        # an opt.m./opt.v. tensor of each trained parameter's shape, or a
-        # CheckpointError naming it
-        for kind, moments in (("m", opt.m), ("v", opt.v)):
-            slots = [(name, T.constant(p.data)) for name, p in params.items()]
-            load_into(((f"opt.{kind}.{name}", slot) for name, slot in slots), arrays)
-            moments.update((name, slot.data) for name, slot in slots)
+        load_moments(opt, params, arrays)
         result.loss_history, result.eval_history = _read_histories(out_dir, start_epoch)
-
-    def arrays(include_opt: bool) -> dict:
-        out = model.state_arrays()
-        out.update({k: p.data for k, p in heads.parameters()})
-        if include_opt:
-            for k in params:
-                out[f"opt.m.{k}"] = opt.m[k]
-                out[f"opt.v.{k}"] = opt.v[k]
-        return out
-
-    def save(tag: str, include_opt: bool, meta: dict):
-        if out_dir is not None:
-            save_bundle(
-                os.path.join(out_dir, tag), model.config, arrays(include_opt),
-                vocab=vocab, meta=meta,
-            )
 
     for epoch in range(start_epoch, schedule.epochs):
         order = np.random.default_rng(
@@ -344,17 +323,9 @@ def finetune_run(
         ).permutation(len(train))
         for step, start in enumerate(range(0, len(order), schedule.batch_size)):
             batch = [train[i] for i in order[start:start + schedule.batch_size]]
-            for p in params.values():
-                p.zero_grad()
-            value = backward_sum(sample_losses(
+            value = train_step(params, opt, sample_losses(
                 batch, model, heads, schedule.lambda_fine, schedule.class_weights,
-                schedule.freeze_encoder))
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"fine-tuning loss became non-finite at epoch {epoch}, "
-                    f"step {step}"
-                )
-            adamw_step(params, opt)
+                schedule.freeze_encoder), f"epoch {epoch}, step {step}")
             result.loss_history.append((epoch, step, value))
         f1 = coarse_metrics(evaluation, model, heads)["f1"] if evaluation else float("nan")
         result.eval_history.append((epoch, f1))
@@ -362,16 +333,16 @@ def finetune_run(
             result.best_f1 = f1
             result.best_epoch = epoch
             # before last/, so that its best_epoch names weights on disk
-            save("best", False, {"epoch": epoch + 1, "f1": f1,
-                                 "threshold": heads.threshold})
+            if out_dir is not None:
+                save_run(os.path.join(out_dir, "best"), model, (heads,), vocab,
+                         {"epoch": epoch + 1, "f1": f1, "threshold": heads.threshold})
         if out_dir is not None:
             for (name, header, _), rows in zip(HISTORIES, (result.loss_history,
                                                            result.eval_history)):
                 write_csv(os.path.join(out_dir, name), header, rows)
-        save("last", True, {"epoch": epoch + 1, "opt_t": opt.t,
-                            "best_f1": result.best_f1,
-                            "best_epoch": result.best_epoch,
-                            "threshold": heads.threshold})
+            save_run(os.path.join(out_dir, "last"), model, (heads,), vocab,
+                     {"epoch": epoch + 1, "opt_t": opt.t, "best_f1": result.best_f1,
+                      "best_epoch": result.best_epoch, "threshold": heads.threshold}, opt)
         if (
             schedule.early_stop_patience is not None
             and evaluation

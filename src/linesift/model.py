@@ -27,7 +27,7 @@ from .pooling import POOL_KINDS, make_pool
 from .transformer import EncoderConfig, StatementEncoder, TokenEncoder
 
 __all__ = ["ModelConfig", "HierarchicalModel", "BundleConfigError", "save_bundle",
-           "load_bundle"]
+           "save_run", "load_moments", "load_bundle"]
 
 CONFIG_NAME = "config.json"
 VOCAB_NAME = "vocab.txt"
@@ -182,6 +182,30 @@ def save_bundle(
     if vocab is not None:
         vocab.save(os.path.join(directory, VOCAB_NAME))
     checkpoint.save_tensors(directory, arrays)
+
+
+def save_run(directory: str, model: HierarchicalModel, modules, vocab: Vocab | None,
+             meta: dict, opt: T.OptimizerState | None = None) -> None:
+    """Save a training run's state as one bundle: ``model``'s weights, the
+    parameters of each of ``modules`` and, with ``opt``, the AdamW moments
+    of each trained parameter as ``opt.m.<name>`` and ``opt.v.<name>``."""
+    arrays = model.state_arrays()
+    for module in modules:
+        arrays.update((name, p.data) for name, p in module.parameters())
+    if opt is not None:
+        for kind, moments in (("m", opt.m), ("v", opt.v)):
+            arrays.update((f"opt.{kind}.{name}", m) for name, m in moments.items())
+    save_bundle(directory, model.config, arrays, vocab=vocab, meta=meta)
+
+
+def load_moments(opt: T.OptimizerState, params: dict[str, Tensor], arrays: dict) -> None:
+    """Set ``opt``'s moments of each of ``params`` from the arrays that
+    ``save_run`` wrote; each must be there with its parameter's shape, or a
+    ``CheckpointError`` names it."""
+    for kind, moments in (("m", opt.m), ("v", opt.v)):
+        slots = [(name, T.constant(p.data)) for name, p in params.items()]
+        checkpoint.load_into(((f"opt.{kind}.{name}", slot) for name, slot in slots), arrays)
+        moments.update((name, slot.data) for name, slot in slots)
 
 
 def _join_head_projections(arrays: dict, cfg: EncoderConfig) -> None:

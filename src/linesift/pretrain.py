@@ -24,7 +24,7 @@ from . import tensor as T
 from .tensor import OptimizerState, Tensor, adamw_step
 from .encoding import BOS, EOS, MASK, RESERVED_TOKENS, EncodedSample
 from .metrics import write_csv
-from .model import HierarchicalModel, save_bundle
+from .model import HierarchicalModel, save_run
 from .parallel import backward_sum
 from .transformer import Mlp
 
@@ -34,6 +34,7 @@ __all__ = [
     "MspDecoder",
     "MlmHead",
     "DivergenceError",
+    "train_step",
     "PretrainSchedule",
     "TrainState",
     "make_mask_plan",
@@ -51,6 +52,20 @@ ACTION_PROBS = {"mask_all": 0.8, "randomize": 0.1, "keep": 0.1}
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
+
+
+def train_step(params: dict[str, Tensor], opt: OptimizerState, losses, where: str) -> float:
+    """One optimizer step: zero the grads of ``params``, sum the loss terms'
+    gradients (``parallel.backward_sum``) and apply AdamW. Returns the summed
+    loss; a non-finite one raises ``DivergenceError`` naming ``where`` before
+    any parameter moves."""
+    for p in params.values():
+        p.zero_grad()
+    value = backward_sum(losses)
+    if not np.isfinite(value):
+        raise DivergenceError(f"loss became non-finite at {where}")
+    adamw_step(params, opt)
+    return value
 
 
 @dataclass(frozen=True)
@@ -330,21 +345,10 @@ def pretrain_run(
         raise ValueError("pretraining corpus is empty")
     state = TrainState()
 
-    def all_arrays():
-        arrays = model.state_arrays()
-        arrays.update({k: p.data for k, p in decoder.parameters()})
-        arrays.update({k: p.data for k, p in mlm_head.parameters()})
-        return arrays
-
     def save(tag: str):
         if out_dir is not None:
-            save_bundle(
-                os.path.join(out_dir, "checkpoint"),
-                model.config,
-                all_arrays(),
-                vocab=vocab,
-                meta={"phase": tag, "step": state.step},
-            )
+            save_run(os.path.join(out_dir, "checkpoint"), model, (decoder, mlm_head),
+                     vocab, {"phase": tag, "step": state.step})
             write_csv(os.path.join(out_dir, "loss.csv"), ["step", "phase", "loss"],
                       state.loss_history)
 
@@ -379,15 +383,8 @@ def pretrain_run(
             state.skipped_samples += len(batch) - len(losses)
             if not losses:
                 continue
-            for p in params.values():
-                p.zero_grad()
-            value = backward_sum(losses)
-            if not np.isfinite(value):
-                # leave the last periodic checkpoint as the recovery point
-                raise DivergenceError(
-                    f"{phase} loss became non-finite at step {state.step}"
-                )
-            adamw_step(params, opt)
+            # a divergence leaves the last periodic checkpoint as the recovery point
+            value = train_step(params, opt, losses, f"{phase} step {state.step}")
             state.step += 1
             state.loss_history.append((state.step, phase, value))
             if schedule.checkpoint_every and state.step % schedule.checkpoint_every == 0:

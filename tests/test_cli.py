@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import bundled_corpus_path, per_head_names, synthesize_corpus
-from linesift import checkpoint, finetune, parallel, pretrain
+from linesift import checkpoint, parallel, pretrain
 from linesift.cli import main
 from linesift.corpus import load_corpus, save_corpus
 from linesift.model import HierarchicalModel, load_bundle
@@ -325,6 +325,17 @@ class TestFinetuneCommand:
         assert str(tmp_path / "best") in capsys.readouterr().err
         assert (tmp_path / "last" / "weights.bin").read_bytes() == weights
 
+    @pytest.mark.parametrize("before", [b'{"epochs": 1}\n', None], ids=["echo", "no_echo"])
+    def test_refused_command_leaves_run_config_as_it_was(self, tmp_path, corpus_path,
+                                                         capsys, before):
+        echo = tmp_path / "run_config.json"
+        if before is not None:
+            echo.write_bytes(before)
+        assert main(["finetune", "--corpus", corpus_path, "--out", str(tmp_path),
+                     "--epochs", "3", "--resume"]) == 2
+        assert str(tmp_path / "best") in capsys.readouterr().err
+        assert (echo.read_bytes() if echo.exists() else None) == before
+
     @pytest.mark.parametrize("key, value", [
         ("opt_t", None), ("epoch", None), ("epoch", -1), ("opt_t", -3),
     ], ids=["no_opt_t", "no_epoch", "negative_epoch", "negative_opt_t"])
@@ -379,7 +390,7 @@ class TestFinetuneCommand:
             # kill there would stop it
             with open(full / "loss.csv", newline="") as fh:
                 two_epochs = sum(int(r["epoch"]) < 2 for r in csv.DictReader(fh))
-            adamw_step = finetune.adamw_step
+            adamw_step = pretrain.adamw_step
 
             def killed(params, opt):
                 if opt.t == two_epochs:
@@ -387,7 +398,7 @@ class TestFinetuneCommand:
                 adamw_step(params, opt)
 
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(finetune, "adamw_step", killed)
+                patch.setattr(pretrain, "adamw_step", killed)
                 assert main(["finetune", *args, "--out", str(parted),
                              "--epochs", "4"]) == 1
         else:
@@ -537,6 +548,26 @@ class TestEvaluateCommand:
                      "--checkpoint", str(bundle), "--out", str(tmp_path / "ev")])
         assert code == 2
         assert str(blob) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "vocab.txt", "weights.bin"],
+                             ids=["non_utf8_manifest", "non_utf8_vocab", "directory_blob"])
+    def test_unreadable_bundle_file_exits_2(self, finetuned, corpus_path, tmp_path,
+                                            capsys, name):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(os.path.join(finetuned, "best"), bundle)
+        path = bundle / name
+        if name == "weights.bin":
+            path.unlink()
+            path.mkdir()
+        else:  # a byte that is not UTF-8 opens the first line
+            path.write_bytes(b"\xff" + path.read_bytes())
+        code = main(["evaluate", "--corpus", corpus_path,
+                     "--checkpoint", str(bundle), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        if name == "manifest.txt":
+            assert f"{path} line 1:" in err
 
     def test_bundle_with_zero_dropout_predicts_identically(self, finetuned,
                                                            corpus_path, tmp_path):

@@ -79,6 +79,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="line 2: not UTF-8"):
             C.load_corpus(str(path))
 
+    def test_repeated_id_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        record = {"id": "a", "code": "x", "label": 0, "vul_lines": []}
+        write_jsonl(path, [record, {**record, "id": "b"}, {**record, "code": "y"}])
+        with pytest.raises(CorpusError, match="line 3: id 'a' repeats line 1"):
+            C.load_corpus(str(path))
+
     def test_round_trip_is_content_identical(self, tmp_path, rng):
         samples = synthesize_corpus(12, seed=5)
         p1 = tmp_path / "a.jsonl"
@@ -217,6 +224,15 @@ class TestConverter:
         assert samples[0].vul_lines == frozenset({2})  # 0-based 1 -> 1-based 2
         assert samples[0].cwe == "CWE-787"
         assert samples[1].label == 0 and not samples[1].vul_lines
+
+    def test_repeated_id_rejected_naming_both_rows(self, tmp_path):
+        csv_path = tmp_path / "bv.csv"
+        # the first record spans file lines 2 and 3, so rows and file lines differ
+        csv_path.write_text('id,processed_func,target\nf1,"a\nb",0\nf2,c,0\nf1,d,1\n')
+        with pytest.raises(CorpusError, match="row 4: id 'f1' repeats row 2"):
+            C.convert_csv_corpus(str(csv_path), str(tmp_path / "out.jsonl"),
+                                 id_column="id")
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_byte_that_is_not_utf8_reports_file_line(self, tmp_path):
         csv_path = tmp_path / "bv.csv"

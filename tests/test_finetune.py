@@ -21,6 +21,7 @@ from linesift.finetune import (
     sample_losses,
 )
 from linesift.model import HierarchicalModel, ModelConfig
+from linesift.pretrain import DivergenceError
 from linesift.transformer import EncoderConfig
 
 VOCAB = 48
@@ -380,6 +381,19 @@ class TestFinetuneRun:
         # zero learning rate: eval F1 never improves after epoch 0
         result = finetune_run(encodeds, encodeds[:6], model, heads, schedule)
         assert len(result.eval_history) <= 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_aborts(self):
+        encodeds, model, heads, _ = self.make_inputs()
+        used_id = int(encodeds[0].token_ids[1])
+        model.token_encoder.tok_emb.data[used_id, :] = np.inf
+        params = [*model.parameters().items(), *heads.parameters()]
+        before = {k: p.data.copy() for k, p in params}
+        schedule = FinetuneSchedule(epochs=2, batch_size=len(encodeds), seed=0)
+        with pytest.raises(DivergenceError, match=r"\bepoch 0, step 0\b"):
+            finetune_run(encodeds, [], model, heads, schedule)
+        for k, p in params:  # the step that diverged moved no parameter
+            assert np.array_equal(p.data, before[k]), k
 
     def test_best_checkpoint_saved(self, tmp_path):
         encodeds, model, heads, vocab = self.make_inputs()

@@ -1,8 +1,8 @@
 """Static checks over the library source: every imported name is used,
 every function reads each of its parameters, every definition is reached
 from outside its own body, every dataclass field is read, every
-``__all__`` names something defined, and every command-line flag is read by
-its command.
+``__all__`` names something defined, every command-line flag is read by
+its command, and only ``train_step`` makes the calls of a training step.
 
 Neither pyflakes nor ruff is a dependency, so these stdlib ``ast`` scans are
 the project's lint. ``__init__.py`` is skipped by the import check: its
@@ -351,3 +351,47 @@ def test_checker_flags_an_unread_flag():
 def test_every_flag_is_read_by_its_command():
     found = unread_flags((SRC / "cli.py").read_text(), build_parser())
     assert found == []
+
+
+# the calls of a training step, which ``pretrain.train_step`` makes for both
+# training loops, so that a second copy of the step does not come back
+STEP_CALLS = ("zero_grad", "backward_sum", "adamw_step")
+
+
+def step_calls_outside_train_step(source: str) -> list[str]:
+    """``callee (line N)`` of each call of one of ``STEP_CALLS``, by bare name
+    or as an attribute, that is not inside a function named ``train_step``."""
+    tree = ast.parse(source)
+    steps = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "train_step"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in STEP_CALLS and not any(a <= node.lineno <= b for a, b in steps):
+                found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_checker_flags_a_step_call_outside_train_step():
+    source = (
+        "def train_step(params, opt, losses):\n"
+        "    for p in params.values():\n        p.zero_grad()\n"
+        "    value = parallel.backward_sum(losses)\n"
+        "    adamw_step(params, opt)\n    return value\n"
+        "def loop(params, opt, losses):\n"
+        "    value = backward_sum(losses)\n"
+        "    T.adamw_step(params, opt)\n"
+        "    return train_step(params, opt, losses) + value\n"
+        "params['w'].zero_grad()\n"
+    )
+    assert step_calls_outside_train_step(source) == [
+        "backward_sum (line 8)", "adamw_step (line 9)", "zero_grad (line 11)",
+    ]
+
+
+def test_only_train_step_makes_the_calls_of_a_step():
+    found = {path.name: step_calls_outside_train_step(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert "pretrain.py" in found
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -471,11 +471,15 @@ class TestPretrainRun:
         encodeds, model, decoder, head, vocab = self.make_inputs()
         used_id = int(encodeds[0].token_ids[1])
         model.token_encoder.tok_emb.data[used_id, :] = np.inf
+        params = [*model.parameters().items(), *decoder.parameters(), *head.parameters()]
+        before = {k: p.data.copy() for k, p in params}
         schedule = PretrainSchedule(msp_steps=2, batch_size=2, seed=0)
         with pytest.raises(DivergenceError):
             pretrain_run(encodeds, model, decoder, head, schedule,
                          out_dir=str(tmp_path), vocab=vocab)
         assert (tmp_path / "checkpoint").is_dir()  # init checkpoint survives
+        for k, p in params:  # the step that diverged moved no parameter
+            assert np.array_equal(p.data, before[k]), k
 
     def test_msp_training_reduces_loss(self):
         encodeds, model, decoder, head, vocab = self.make_inputs()
