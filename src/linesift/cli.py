@@ -21,7 +21,14 @@ from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .checkpoint import CheckpointError, load_into
 from .corpus import M_LEN_CHOICES, CorpusError, SplitSpec
-from .encoding import RESERVED_TOKENS, EncodingError, Vocab, build_vocab, encode
+from .encoding import (
+    RESERVED_TOKENS,
+    EncodingError,
+    Vocab,
+    build_vocab,
+    encode,
+    tokenize_line,
+)
 from .finetune import (
     DetectionHeads,
     FinetuneSchedule,
@@ -174,8 +181,7 @@ def cmd_stats(args) -> int:
     vocab = build_vocab(samples, max_size=args.vocab_size, min_freq=args.min_freq)
 
     def token_length(sample):
-        from .encoding import tokenize_line
-        return 1 + sum(len(tokenize_line(ln)) for ln in sample.code.split("\n"))
+        return 1 + len(tokenize_line(sample.code))
 
     stats = {
         "classes": corpus_mod.class_stats(samples),
@@ -486,6 +492,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     echo, before = Path(args.out, "run_config.json"), None
+    created = not echo.parent.exists()
     try:
         if echo.is_file():
             before = echo.read_bytes()
@@ -494,10 +501,13 @@ def main(argv=None) -> int:
     except (UsageError, CorpusError, EncodingError, CheckpointError,
             FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if before is not None:  # a refused command leaves the run's echo as it was
+        # a refused command leaves the run's echo, and its --out, as they were
+        if before is not None:
             echo.write_bytes(before)
         elif echo.is_file():
             echo.unlink()
+        if created and echo.parent.is_dir() and not any(echo.parent.iterdir()):
+            echo.parent.rmdir()
         return 2
     except DivergenceError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)

@@ -260,6 +260,8 @@ def convert_csv_corpus(
                     raise CorpusError(
                         f"row {rownum}: missing column {code_column!r} or {label_column!r}"
                     )
+                if id_column and id_column not in rec:
+                    raise CorpusError(f"row {rownum}: missing column {id_column!r}")
                 try:
                     label = int(rec[label_column])
                     parts = (rec.get(lines_column) or "").replace(";", ",").split(",")
@@ -271,6 +273,9 @@ def convert_csv_corpus(
                 seen = first_row.setdefault(sid, rownum)
                 if seen != rownum:
                     raise CorpusError(f"row {rownum}: id {sid!r} repeats row {seen}")
+                if label == 1 and lines_column not in rec:
+                    raise CorpusError(
+                        f"row {rownum}: missing column {lines_column!r} of a label-1 record")
                 sample = FunctionSample(
                     id=sid,
                     code=rec[code_column],

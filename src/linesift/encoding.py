@@ -44,10 +44,11 @@ class EncodingError(ValueError):
 # String/char literals stay whole; identifiers and numeric literals stay
 # whole; multi-char C operators are matched longest-first; any other
 # non-space byte falls through as a single-character token so nothing is
-# ever dropped (exotic unicode is lossy but order-preserving).
+# ever dropped (exotic unicode is lossy but order-preserving). No token
+# holds a newline, so a text's tokens are its lines' tokens in order.
 _TOKEN_RE = re.compile(
-    r'''"(?:\\.|[^"\\])*"'''
-    r"""|'(?:\\.|[^'\\])*'"""
+    r'''"(?:\\.|[^"\\\n])*"'''
+    r"""|'(?:\\.|[^'\\\n])*'"""
     r"""|[A-Za-z_]\w*"""
     r"""|0[xX][0-9a-fA-F]+\w*"""
     r"""|\d+\.\d*(?:[eE][+-]?\d+)?\w*"""
@@ -60,7 +61,9 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize_line(line: str) -> list[str]:
-    """Split one source line into surface tokens. Deterministic, total."""
+    """Split one source line into surface tokens. Deterministic, total.
+
+    Given several lines, it returns each line's tokens in order."""
     return _TOKEN_RE.findall(line)
 
 
@@ -114,8 +117,7 @@ def build_vocab(
         raise EncodingError("cannot build a vocabulary from an empty corpus")
     counts: Counter[str] = Counter()
     for s in samples:
-        for line in s.code.split("\n"):
-            counts.update(tokenize_line(line))
+        counts.update(tokenize_line(s.code))
     ranked = sorted(
         (t for t, c in counts.items() if c >= min_freq),
         key=lambda t: (-counts[t], t),

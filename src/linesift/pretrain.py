@@ -164,17 +164,6 @@ class MspDecoder:
         yield "decoder.proj_w", self.proj_w
         yield "decoder.proj_b", self.proj_b
 
-    def _step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        def gate(name, activation):
-            wx, wh, b = self.gates[name]
-            return activation(x @ wx + h @ wh + b)
-        i = gate("in", T.sigmoid)
-        f = gate("forget", T.sigmoid)
-        g = gate("cell", T.tanh)
-        o = gate("out", T.sigmoid)
-        c_next = T.mul(f, c) + T.mul(i, g)
-        return T.mul(o, T.tanh(c_next)), c_next
-
     def sequence_loss(
         self, statement_vectors: Tensor, target_lists, token_table: Tensor
     ) -> tuple[Tensor, int, int]:
@@ -182,8 +171,9 @@ class MspDecoder:
 
         Row r of ``statement_vectors`` [k x h] seeds the decode of
         ``target_lists[r]``. All k lines step together as rows of one
-        recurrence padded to the longest line; padded steps never reach the
-        loss. Returns (loss_sum, target_tokens, truncated_lines).
+        recurrence (``tensor.lstm_sequence``) padded to the longest line;
+        padded steps never reach the loss. Returns (loss_sum, target_tokens,
+        truncated_lines).
         """
         lines = [[int(t) for t in ids] for ids in target_lists]
         truncated = sum(len(ids) > self.max_decode_len for ids in lines)
@@ -195,16 +185,11 @@ class MspDecoder:
         for r, ids in enumerate(lines):
             inputs[1:1 + len(ids), r] = ids
         embedded = T.embedding_lookup(token_table, inputs.ravel())
-        h = statement_vectors
-        c = T.constant(np.zeros((k, self.hidden)))
-        hidden_steps = []
-        for s in range(steps):
-            h, c = self._step(embedded.rows(s * k, (s + 1) * k), h, c)
-            hidden_steps.append(h)
-        # row s*k + r of the stacked states is line r after step s
+        hidden = T.lstm_sequence(embedded, statement_vectors, self.gates.values())
+        # row s*k + r of the hidden states is line r after step s
         real = [s * k + r for r, ids in enumerate(lines) for s in range(len(ids) + 1)]
         targets = [t for ids in lines for t in ids + [EOS]]
-        states = T.gather_rows(T.concat_rows(hidden_steps), real)
+        states = T.gather_rows(hidden, real)
         mean_ce = T.cross_entropy(states @ self.proj_w + self.proj_b, targets)
         return T.scale(mean_ce, float(len(targets))), len(targets), truncated
 

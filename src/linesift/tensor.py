@@ -45,6 +45,7 @@ __all__ = [
     "gelu",
     "sigmoid",
     "tanh",
+    "lstm_sequence",
     "dropout",
     "span_combine",
     "cross_entropy",
@@ -166,8 +167,7 @@ class Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    # Iterative post-order: encoder graphs (and the LSTM chain in
-    # particular) are deep enough to blow the recursion limit.
+    # Iterative post-order: a graph can be deeper than the recursion limit.
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -648,8 +648,11 @@ def encoder_layer(H: Tensor, weights, heads: int, sink=None) -> Tensor:
     The backward is analytic and walks LN2, the feed-forward, LN1, wo and
     the attention in turn. For the attention it keeps the projection, the
     context, the per-head shift flags and r, but no [n x n] block: the
-    backward scores each query tile again. When no graph is kept nothing
-    is saved for it.
+    backward scores each query tile again. Nor does it keep G or
+    U = gelu(G w1 + b1): it rebuilds both elementwise from what it keeps
+    (LN1's xhat and the erf array), by the forward's own ops, so the
+    gradients are those of keeping them. When no graph is kept nothing is
+    saved for it.
     """
     wqkv, wo, w1, b1, w2, b2, ln1_gain, ln1_bias, ln2_gain, ln2_bias = weights
     _check_attention("encoder_layer", H, wqkv, heads)
@@ -673,7 +676,16 @@ def encoder_layer(H: Tensor, weights, heads: int, sink=None) -> Tensor:
 
     def back(g, grads):
         g_x2, g_ln2_gain, g_ln2_bias = _layer_norm_backward(g, ln2_gain.data, xhat2, inv2)
+        U = 1.0 + e  # _gelu_forward's ops
+        U *= Z
+        U *= 0.5
+        g_w2 = U.T @ g_x2
+        del U
         g_Z = _gelu_backward(g_x2 @ w2.data.T, Z, e)
+        G = xhat1 * ln1_gain.data  # _layer_norm_forward's ops
+        G += ln1_bias.data
+        g_w1 = G.T @ g_Z
+        del G
         g_G = g_Z @ w1.data.T
         g_G += g_x2
         g_x1, g_ln1_gain, g_ln1_bias = _layer_norm_backward(
@@ -684,8 +696,8 @@ def encoder_layer(H: Tensor, weights, heads: int, sink=None) -> Tensor:
             g_H += g_x1
             _accumulate(grads, H, g_H)
         for p, piece in ((wqkv, H.data.T @ g_qkv), (wo, ctx.T @ g_x1),
-                         (w1, G.T @ g_Z), (b1, g_Z.sum(axis=0)),
-                         (w2, U.T @ g_x2), (b2, g_x2.sum(axis=0)),
+                         (w1, g_w1), (b1, g_Z.sum(axis=0)),
+                         (w2, g_w2), (b2, g_x2.sum(axis=0)),
                          (ln1_gain, g_ln1_gain), (ln1_bias, g_ln1_bias),
                          (ln2_gain, g_ln2_gain), (ln2_bias, g_ln2_bias)):
             _accumulate(grads, p, piece)
@@ -709,6 +721,104 @@ def tanh(x: Tensor) -> Tensor:
         _accumulate(grads, x, g * (1.0 - t * t))
 
     return _result(t, (x,), back)
+
+
+def _sigmoid_inplace(a: np.ndarray) -> None:
+    """a <- 1 / (1 + exp(-a)), ``sigmoid``'s ops."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    np.divide(1.0, a, out=a)
+
+
+def lstm_sequence(X: Tensor, h0: Tensor, gates) -> Tensor:
+    """A whole teacher-forced LSTM recurrence as one op.
+
+    ``h0`` [k x h] is the initial hidden state of k sequences that step
+    together, and the initial cell state is zero. ``X`` [steps*k x d] holds
+    their inputs step-major: row s*k + r is sequence r's input at step s.
+    ``gates`` are the input, forget, cell and output gates, each a
+    (wx [d x h], wh [h x h], b [h]) triple; gate a of step s is
+    act_a(x_s wx_a + h_(s-1) wh_a + b_a), with tanh for the cell gate and
+    the sigmoid for the others, and c_s = f * c_(s-1) + i * g,
+    h_s = o * tanh(c_s). The gates are joined here into [d x 4h] and
+    [h x 4h] blocks: every step's input projection is one matmul, and each
+    step adds one [k x h] @ [h x 4h] recurrent matmul into its rows of a
+    [steps x k x 4h] gate block, activated in place. Returns the
+    [steps*k x h] hidden states, row s*k + r being sequence r after step s.
+    The backward runs through time once and gives ``X``, ``h0`` and all
+    twelve gate tensors their gradients; it keeps the activated gates, the
+    cell states and their tanh.
+    """
+    params = [t for gate in gates for t in gate]
+    wx, wh, b = (np.concatenate([t.data for t in params[j::3]], axis=-1) for j in range(3))
+    k, hidden = h0.shape if h0.ndim == 2 else (0, 0)
+    if (X.ndim != 2 or k < 1 or X.shape[0] % k or len(params) != 12
+            or wx.shape != (X.shape[1], 4 * hidden) or wh.shape != (hidden, 4 * hidden)
+            or b.shape != (4 * hidden,)):
+        raise ShapeMismatch(f"lstm_sequence: input {X.shape}, h0 {h0.shape}, "
+                            f"gates {wx.shape}, {wh.shape}, {b.shape}")
+    steps = X.shape[0] // k
+    cell = slice(2 * hidden, 3 * hidden)
+    acts = (X.data @ wx).reshape(steps, k, 4 * hidden)
+    c = np.empty((steps, k, hidden))
+    tc = np.empty_like(c)
+    out = np.empty_like(c)
+    h_prev, c_prev = h0.data, np.zeros((k, hidden))
+    for s in range(steps):
+        a = acts[s]
+        a += h_prev @ wh
+        a += b
+        _sigmoid_inplace(a[:, :2 * hidden])
+        np.tanh(a[:, cell], out=a[:, cell])
+        _sigmoid_inplace(a[:, 3 * hidden:])
+        i, f, g, o = (a[:, j * hidden:(j + 1) * hidden] for j in range(4))
+        np.multiply(f, c_prev, out=c[s])
+        c[s] += i * g
+        np.tanh(c[s], out=tc[s])
+        np.multiply(o, tc[s], out=out[s])
+        h_prev, c_prev = out[s], c[s]
+
+    def back(g_out, grads):
+        g_out = g_out.reshape(steps, k, hidden)
+        # each gate's activation slope: s (1 - s), or 1 - t^2 for the cell gate
+        slope = np.subtract(1.0, acts)
+        slope *= acts
+        np.multiply(acts[..., cell], acts[..., cell], out=slope[..., cell])
+        np.subtract(1.0, slope[..., cell], out=slope[..., cell])
+        tc_slope = np.multiply(tc, tc)
+        np.subtract(1.0, tc_slope, out=tc_slope)
+        g_acts = np.empty_like(acts)
+        g_h, g_c = np.zeros((k, hidden)), np.zeros((k, hidden))
+        for s in reversed(range(steps)):
+            i, f, g, o = (acts[s, :, j * hidden:(j + 1) * hidden] for j in range(4))
+            g_i, g_f, g_g, g_o = (g_acts[s, :, j * hidden:(j + 1) * hidden]
+                                  for j in range(4))
+            g_h += g_out[s]
+            np.multiply(g_h, tc[s], out=g_o)
+            g_h *= o
+            g_h *= tc_slope[s]
+            g_c += g_h
+            np.multiply(g_c, g, out=g_i)
+            if s:
+                np.multiply(g_c, c[s - 1], out=g_f)
+            else:
+                g_f[...] = 0.0
+            np.multiply(g_c, i, out=g_g)
+            g_c *= f
+            g_acts[s] *= slope[s]
+            g_h = g_acts[s] @ wh.T
+        flat = g_acts.reshape(steps * k, 4 * hidden)
+        g_wh = h0.data.T @ g_acts[0]
+        g_wh += out[:-1].reshape(-1, hidden).T @ flat[k:]
+        _accumulate(grads, X, flat @ wx.T)
+        _accumulate(grads, h0, g_h)
+        joined = (X.data.T @ flat, g_wh, flat.sum(axis=0))
+        for n, p in enumerate(params):
+            gate, j = divmod(n, 3)
+            _accumulate(grads, p, joined[j][..., gate * hidden:(gate + 1) * hidden])
+
+    return _result(out.reshape(steps * k, hidden), (X, h0, *params), back)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -336,6 +336,16 @@ class TestFinetuneCommand:
         assert str(tmp_path / "best") in capsys.readouterr().err
         assert (echo.read_bytes() if echo.exists() else None) == before
 
+    def test_refused_command_removes_the_out_it_made(self, tmp_path, corpus_path):
+        out = tmp_path / "newout"
+        assert main(["evaluate", "--corpus", corpus_path, "--checkpoint",
+                     str(tmp_path / "nosuch"), "--out", str(out)]) == 2
+        assert not out.exists()
+        out.mkdir()  # one that was there stays, empty or not
+        assert main(["evaluate", "--corpus", corpus_path, "--checkpoint",
+                     str(tmp_path / "nosuch"), "--out", str(out)]) == 2
+        assert out.is_dir() and not any(out.iterdir())
+
     @pytest.mark.parametrize("key, value", [
         ("opt_t", None), ("epoch", None), ("epoch", -1), ("opt_t", -3),
     ], ids=["no_opt_t", "no_epoch", "negative_epoch", "negative_opt_t"])

@@ -234,6 +234,22 @@ class TestConverter:
                                  id_column="id")
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_missing_id_column_rejected(self, tmp_path):
+        csv_path = tmp_path / "bv.csv"
+        csv_path.write_text("processed_func,target\na,0\nb,0\n")
+        with pytest.raises(CorpusError, match="row 2: missing column 'nosuch'"):
+            C.convert_csv_corpus(str(csv_path), str(tmp_path / "out.jsonl"),
+                                 id_column="nosuch")
+
+    def test_missing_lines_column_rejected_at_first_positive(self, tmp_path):
+        csv_path = tmp_path / "bv.csv"
+        csv_path.write_text("processed_func,target\na,0\nb,1\nc,1\n")
+        with pytest.raises(CorpusError, match="row 3: missing column 'flaw_line_index'"):
+            C.convert_csv_corpus(str(csv_path), str(tmp_path / "out.jsonl"))
+        assert not (tmp_path / "out.jsonl").exists()
+        csv_path.write_text("processed_func,target\na,0\nb,0\n")  # no positive: converts
+        assert C.convert_csv_corpus(str(csv_path), str(tmp_path / "out.jsonl")) == 2
+
     def test_byte_that_is_not_utf8_reports_file_line(self, tmp_path):
         csv_path = tmp_path / "bv.csv"
         # the first record spans file lines 2 and 3

@@ -5,9 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_encoded, synthesize_corpus
+from conftest import bundled_corpus_path, make_encoded, synthesize_corpus
 from linesift import tensor as T
-from linesift.corpus import FunctionSample
+from linesift.corpus import FunctionSample, load_corpus
 from linesift.encoding import (
     CLS,
     UNK,
@@ -63,6 +63,20 @@ class TestTokenizeLine:
         ]
         for line in gnarly:
             assert squash("".join(tokenize_line(line))) == squash(line)
+
+
+    def test_text_tokens_are_its_lines_tokens(self):
+        texts = [s.code for s in load_corpus(bundled_corpus_path())]
+        texts += [s.code for s in synthesize_corpus(16, seed=9)]
+        texts.append('a = "open\nb = \'x\nc = "esc\\\nd\\\ne\r\nf = "x\r"\n\n\n g;\n')
+        for text in texts:
+            per_line = [t for line in text.split("\n") for t in tokenize_line(line)]
+            assert tokenize_line(text) == per_line
+        # the edge text: unterminated " and ', a trailing \, a \r, blank lines
+        assert tokenize_line(texts[-1]) == [
+            "a", "=", '"', "open", "b", "=", "'", "x", "c", "=", '"', "esc", "\\",
+            "d", "\\", "e", "f", "=", '"x\r"', "g", ";",
+        ]
 
 
 class TestVocab:

@@ -39,6 +39,7 @@ from linesift.pretrain import (
     sample_losses,
 )
 from linesift.transformer import EncoderConfig
+from test_transformer import TOY
 
 VOCAB = 40
 TINY = ModelConfig(
@@ -182,6 +183,20 @@ class TestDecoderLoss:
         assert BOS != EOS
 
 
+def _step(decoder, x, h, c):
+    """One LSTM step of ``decoder`` as a chain of per-op graph nodes: the
+    oracle of ``tensor.lstm_sequence``."""
+    def gate(name, activation):
+        wx, wh, b = decoder.gates[name]
+        return activation(x @ wx + h @ wh + b)
+    i = gate("in", T.sigmoid)
+    f = gate("forget", T.sigmoid)
+    g = gate("cell", T.tanh)
+    o = gate("out", T.sigmoid)
+    c_next = T.mul(f, c) + T.mul(i, g)
+    return T.mul(o, T.tanh(c_next)), c_next
+
+
 def per_line_loss(decoder, statement_vector, target_ids, token_table):
     """Reference decoder: one LSTM chain per line, one token per step."""
     original = [int(t) for t in target_ids][: decoder.max_decode_len]
@@ -190,7 +205,7 @@ def per_line_loss(decoder, statement_vector, target_ids, token_table):
     c = T.constant(np.zeros((1, decoder.hidden)))
     logit_rows = []
     for inp in [BOS] + original:
-        h, c = decoder._step(T.embedding_lookup(token_table, [inp]), h, c)
+        h, c = _step(decoder, T.embedding_lookup(token_table, [inp]), h, c)
         logit_rows.append(h @ decoder.proj_w + decoder.proj_b)
     mean_ce = T.cross_entropy(T.concat_rows(logit_rows), targets)
     return T.scale(mean_ce, float(len(targets)))
@@ -261,6 +276,78 @@ class TestBatchedDecoder:
     def test_max_decode_len_below_one_rejected(self, rng, bad):
         with pytest.raises(ValueError, match="max_decode_len"):
             MspDecoder(TINY.encoder.hidden, VOCAB, rng, max_decode_len=bad)
+
+
+def stepwise_sequence_loss(decoder, statement_vectors, target_lists, token_table):
+    """Reference batched decoder: ``MspDecoder.sequence_loss`` with the
+    recurrence as one ``_step`` chain per step over per-step row slices."""
+    lines = [[int(t) for t in ids][: decoder.max_decode_len] for ids in target_lists]
+    k = len(lines)
+    steps = 1 + max(len(ids) for ids in lines)
+    inputs = np.full((steps, k), BOS, dtype=np.int64)
+    for r, ids in enumerate(lines):
+        inputs[1:1 + len(ids), r] = ids
+    embedded = T.embedding_lookup(token_table, inputs.ravel())
+    h, c = statement_vectors, T.constant(np.zeros((k, decoder.hidden)))
+    hidden_steps = []
+    for s in range(steps):
+        h, c = _step(decoder, embedded.rows(s * k, (s + 1) * k), h, c)
+        hidden_steps.append(h)
+    real = [s * k + r for r, ids in enumerate(lines) for s in range(len(ids) + 1)]
+    targets = [t for ids in lines for t in ids + [EOS]]
+    states = T.gather_rows(T.concat_rows(hidden_steps), real)
+    mean_ce = T.cross_entropy(states @ decoder.proj_w + decoder.proj_b, targets)
+    return T.scale(mean_ce, float(len(targets)))
+
+
+class TestFusedRecurrence:
+    def test_matches_per_step_chain(self, rng, decoder):
+        lines = TestBatchedDecoder.LINES
+        vecs = T.parameter(rng.normal(size=(len(lines), TINY.encoder.hidden)))
+        table = T.parameter(rng.normal(size=(VOCAB, TINY.encoder.hidden)))
+        params = {**dict(decoder.parameters()), "vecs": vecs, "table": table}
+        fused, grads = loss_and_grads(
+            lambda: decoder.sequence_loss(vecs, lines, table)[0], params)
+        chain, oracle = loss_and_grads(
+            lambda: stepwise_sequence_loss(decoder, vecs, lines, table), params)
+        assert len(oracle) == 16  # 14 decoder tensors, the table and the vectors
+        assert abs(fused - chain) < 1e-12
+        for name, g in oracle.items():
+            assert np.max(np.abs(grads[name] - g)) < 1e-12, name
+
+    def test_finite_differences_on_toy(self, rng):
+        decoder = MspDecoder(TOY.hidden, TOY.vocab_size, rng, max_decode_len=8)
+        for _, p in decoder.parameters():  # past the near-zero init
+            p.data[...] = rng.normal(0.0, 0.5, p.shape)
+        vecs = T.parameter(rng.normal(size=(3, TOY.hidden)))
+        table = T.parameter(rng.normal(size=(TOY.vocab_size, TOY.hidden)))
+        lines = [[7], [6, 8, 9, 10], [9, 9]]
+        params = {**dict(decoder.parameters()), "vecs": vecs, "table": table}
+
+        def loss():
+            return decoder.sequence_loss(vecs, lines, table)[0]
+
+        loss_and_grads(loss, params)
+        failures = finite_difference_failures(lambda: loss().item(), params, rng,
+                                              elements_per_tensor=4)
+        assert failures == []
+
+    def test_graph_does_not_grow_with_line_length(self, rng):
+        decoder = MspDecoder(TINY.encoder.hidden, VOCAB, rng, max_decode_len=64)
+        vec = T.parameter(rng.normal(size=(1, TINY.encoder.hidden)))
+        table = T.parameter(rng.normal(size=(VOCAB, TINY.encoder.hidden)))
+        short, _, _ = decoder.sequence_loss(vec, [[6, 7, 8]], table)
+        long, _, _ = decoder.sequence_loss(vec, [list(range(6, 36))], table)
+        assert len(T._topo_order(short)) == len(T._topo_order(long))
+
+    def test_shape_checked(self, rng, decoder):
+        h = TINY.encoder.hidden
+        gates = list(decoder.gates.values())
+        with pytest.raises(T.ShapeMismatch, match="lstm_sequence"):
+            T.lstm_sequence(T.constant(np.zeros((5, h))), T.constant(np.zeros((2, h))), gates)
+        with pytest.raises(T.ShapeMismatch, match="lstm_sequence"):
+            T.lstm_sequence(T.constant(np.zeros((4, h + 1))), T.constant(np.zeros((2, h))),
+                            gates)
 
 
 class TestMspLoss:

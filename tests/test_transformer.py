@@ -411,6 +411,21 @@ class TestAttentionTiles:
         assert out._backward is not None
         assert kept < cfg.heads * n * n * 8
 
+    def test_graph_keeps_neither_g_nor_u(self):
+        # the same layer's backward state besides its output: the backward
+        # rebuilds G and U = gelu(G w1 + b1) elementwise, leaving 902 kept
+        # columns of 512 rows (3.69 MB); keeping both held about 5.0 MB
+        cfg = preset_config("desk-2x64x4", vocab_size=50)
+        layer = EncoderStack(cfg, np.random.default_rng(0)).layers[0]
+        H = T.parameter(np.random.default_rng(1).normal(size=(512, cfg.hidden)))
+        tracemalloc.start()
+        try:
+            out = T.encoder_layer(H, layer.weights(), cfg.heads)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept - out.data.nbytes <= 3_800_000
+
 
 @pytest.fixture
 def token_encoder(rng):
