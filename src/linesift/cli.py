@@ -491,8 +491,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    echo, before = Path(args.out, "run_config.json"), None
-    created = not echo.parent.exists()
+    out = Path(args.out)
+    echo, before = out / "run_config.json", None
+    # the directories that _echo_config's makedirs will create
+    created = [d for d in (*reversed(out.parents), out) if not d.exists()]
     try:
         if echo.is_file():
             before = echo.read_bytes()
@@ -506,8 +508,9 @@ def main(argv=None) -> int:
             echo.write_bytes(before)
         elif echo.is_file():
             echo.unlink()
-        if created and echo.parent.is_dir() and not any(echo.parent.iterdir()):
-            echo.parent.rmdir()
+        for d in reversed(created):
+            if d.is_dir() and not any(d.iterdir()):
+                d.rmdir()
         return 2
     except DivergenceError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)

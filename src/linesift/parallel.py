@@ -126,7 +126,8 @@ def map_ordered(fn, items):
 def backward_sum(losses) -> float:
     """Build and differentiate each loss of ``losses`` (zero-argument
     callables returning a scalar Tensor, one per sample) on its own, via
-    ``map_ordered``, and return the sum of their values.
+    ``map_ordered``, and return the sum of their values. Each graph is
+    built inside its task, and its backward frees it as the walk goes.
 
     Each loss's leaf gradients go into a map of their own, which is added
     into running totals, and then dropped, as soon as the maps before it

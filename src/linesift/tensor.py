@@ -81,7 +81,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()  # None: released
         self._backward = None
 
     # -- basic introspection -------------------------------------------------
@@ -146,20 +146,32 @@ class Tensor:
         no ``.grad``. With ``into``, a dict keyed by leaf, each leaf's
         gradient is added into ``into[leaf]`` instead and no ``.grad`` is
         touched, so that graphs on other threads can share the leaves.
+
+        With ``into`` the caller owns the graph (``parallel.backward_sum``
+        builds each loss in its task), and the walk releases it as it goes:
+        once a node's closure has run, the closure and the node's parents are
+        dropped, so each op's saved arrays and output are freed before the
+        ops below it run. A later backward that reaches a released node
+        raises ``ValueError``; without ``into`` the graph is kept.
         """
         if self.data.size != 1:
             raise ValueError(
                 f"backward() requires a scalar loss, got shape {self.shape}"
             )
         order = _topo_order(self)
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
-            if node._backward is not None and id(node) in grads:
+        # keyed by node, not id(): a node freed by the walk frees its id
+        grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
+        while order:
+            node = order.pop()  # the walk's last reference to a walked node
+            if node not in grads:
+                continue
+            if node._backward is not None:
                 # an interior gradient is needed only until it is passed on
-                node._backward(grads.pop(id(node)), grads)
-        for node in order:
-            if node.requires_grad and node._backward is None and id(node) in grads:
-                piece = grads[id(node)]  # may be shared: add, never +=
+                node._backward(grads.pop(node), grads)
+                if into is not None:
+                    node._backward, node._parents = None, None
+            elif node.requires_grad:
+                piece = grads.pop(node)  # may be shared: add, never +=
                 if into is not None:
                     into[node] = into[node] + piece if node in into else piece
                 else:
@@ -180,21 +192,22 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
+        if node._parents is None:
+            raise ValueError("backward() reached a node of a graph that an earlier "
+                             "backward(into=...) released")
         for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
 
-def _accumulate(grads: dict[int, np.ndarray], node: Tensor, piece: np.ndarray) -> None:
+def _accumulate(grads: dict[Tensor, np.ndarray], node: Tensor, piece: np.ndarray) -> None:
     """Add ``piece`` into ``node``'s gradient. No array in the map is ever
     written in place (a later piece makes a new sum), so ``piece`` is kept as
     is even when it is, or is a view of, the upstream gradient, which ``add``
     passes to both parents."""
-    if not node.requires_grad:
-        return
-    key = id(node)
-    grads[key] = grads[key] + piece if key in grads else piece
+    if node.requires_grad:
+        grads[node] = grads[node] + piece if node in grads else piece
 
 
 class _GradMode(threading.local):
@@ -512,7 +525,7 @@ def _attention_backward(g_ctx, qkv, ctx, shift, r, heads: int) -> np.ndarray:
     delta = np.einsum("hij,hij->hi", g_c, _split_heads(ctx, heads))
     np.multiply(delta[..., None], -r, out=left[..., dk:])
     v1 = np.ones((n, dk + 1))
-    g_qkv = np.zeros_like(qkv)
+    g_qkv = np.empty_like(qkv)  # every element is written: no zero fill
     g_q, g_k, g_v = _head_views(g_qkv, heads)
     buf = np.empty((min(n, _TILE), n))
     g_s = np.empty_like(buf)
@@ -525,8 +538,12 @@ def _attention_backward(g_ctx, qkv, ctx, shift, r, heads: int) -> np.ndarray:
             np.matmul(left[h, rows], v1.T, out=g_s[:m])
             g_s[:m] *= e
             np.matmul(g_s[:m], k[h], out=g_q[h, rows])
-            g_k[h] += g_s[:m].T @ q[h, rows]
-            g_v[h] += e.T @ left[h, rows, :dk]
+            if t == 0:
+                np.matmul(g_s[:m].T, q[h, rows], out=g_k[h])
+                np.matmul(e.T, left[h, rows, :dk], out=g_v[h])
+            else:
+                g_k[h] += g_s[:m].T @ q[h, rows]
+                g_v[h] += e.T @ left[h, rows, :dk]
     g_q *= 1.0 / math.sqrt(dk)
     return g_qkv
 
@@ -610,14 +627,14 @@ def _gelu_forward(x: np.ndarray, keep: bool):
     return out, (e if keep else None)
 
 
-def _gelu_backward(g, x, e) -> np.ndarray:
-    """g * gelu'(x), with ``e`` the erf array of ``_gelu_forward``."""
+def _gelu_backward(g, x, slope) -> np.ndarray:
+    """g * gelu'(x), written over ``slope``, which holds 1 + e with ``e`` the
+    erf array of ``_gelu_forward``."""
     d = np.multiply(x, -0.5)
     d *= x
     np.exp(d, out=d)
     d *= x
     d *= _INV_SQRT2PI
-    slope = 1.0 + e
     slope *= 0.5
     slope += d
     slope *= g
@@ -629,7 +646,7 @@ def gelu(x: Tensor) -> Tensor:
     out, e = _gelu_forward(x.data, _keeps_graph((x,)))
 
     def back(g, grads):
-        _accumulate(grads, x, _gelu_backward(g, x.data, e))
+        _accumulate(grads, x, _gelu_backward(g, x.data, 1.0 + e))
 
     return _result(out, (x,), back)
 
@@ -676,12 +693,12 @@ def encoder_layer(H: Tensor, weights, heads: int, sink=None) -> Tensor:
 
     def back(g, grads):
         g_x2, g_ln2_gain, g_ln2_bias = _layer_norm_backward(g, ln2_gain.data, xhat2, inv2)
-        U = 1.0 + e  # _gelu_forward's ops
-        U *= Z
+        slope = 1.0 + e  # _gelu_forward's ops, shared with gelu's slope
+        U = np.multiply(slope, Z)
         U *= 0.5
         g_w2 = U.T @ g_x2
         del U
-        g_Z = _gelu_backward(g_x2 @ w2.data.T, Z, e)
+        g_Z = _gelu_backward(g_x2 @ w2.data.T, Z, slope)
         G = xhat1 * ln1_gain.data  # _layer_norm_forward's ops
         G += ln1_bias.data
         g_w1 = G.T @ g_Z

@@ -346,6 +346,21 @@ class TestFinetuneCommand:
                      str(tmp_path / "nosuch"), "--out", str(out)]) == 2
         assert out.is_dir() and not any(out.iterdir())
 
+    def test_refused_command_removes_the_out_ancestors_it_made(self, tmp_path, corpus_path):
+        args = ["evaluate", "--corpus", corpus_path, "--checkpoint", str(tmp_path / "nosuch")]
+        assert main([*args, "--out", str(tmp_path / "x" / "new" / "a")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "x").mkdir()  # an ancestor that was there stays
+        assert main([*args, "--out", str(tmp_path / "x" / "new" / "a")]) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "x"]
+        assert list((tmp_path / "x").iterdir()) == []
+        (tmp_path / "x" / "new" / "b").mkdir(parents=True)  # so does one not empty
+        assert main([*args, "--out", str(tmp_path / "x" / "new" / "a")]) == 2
+        assert list((tmp_path / "x" / "new").iterdir()) == [tmp_path / "x" / "new" / "b"]
+        # makedirs makes "y" for "y/..", which the lexical parents pass
+        assert main([*args, "--out", str(tmp_path / "y" / ".." / "z" / "a")]) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "x"]
+
     @pytest.mark.parametrize("key, value", [
         ("opt_t", None), ("epoch", None), ("epoch", -1), ("opt_t", -3),
     ], ids=["no_opt_t", "no_epoch", "negative_epoch", "negative_opt_t"])

@@ -2,7 +2,8 @@
 every function reads each of its parameters, every definition is reached
 from outside its own body, every dataclass field is read, every
 ``__all__`` names something defined, every command-line flag is read by
-its command, and only ``train_step`` makes the calls of a training step.
+its command, only ``train_step`` makes the calls of a training step, and
+only ``backward_sum`` calls ``backward(into=...)``, which releases the graph.
 
 Neither pyflakes nor ruff is a dependency, so these stdlib ``ast`` scans are
 the project's lint. ``__init__.py`` is skipped by the import check: its
@@ -394,4 +395,45 @@ def test_only_train_step_makes_the_calls_of_a_step():
     found = {path.name: step_calls_outside_train_step(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert "pretrain.py" in found
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def backward_into_outside_backward_sum(source: str) -> list[str]:
+    """``backward (line N)`` of each ``backward`` call, as an attribute, that
+    passes a gradient map (``into=`` or positionally) and is not inside a
+    function named ``backward_sum``: such a backward releases the graph it
+    walks, so only the caller that built the graph may make it."""
+    tree = ast.parse(source)
+    sums = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "backward_sum"]
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "backward"
+                and (node.args or any(kw.arg == "into" for kw in node.keywords))
+                and not any(a <= node.lineno <= b for a, b in sums)):
+            found.append(node.lineno)
+    return [f"backward (line {line})" for line in sorted(found)]
+
+
+def test_checker_flags_a_backward_into_outside_backward_sum():
+    source = (
+        "def backward_sum(losses):\n"
+        "    def unit(build):\n"
+        "        grads = {}\n        build().backward(into=grads)\n"
+        "        return grads\n"
+        "    return [unit(b) for b in losses]\n"
+        "def loop(loss, grads):\n"
+        "    loss.backward()\n"
+        "    loss.backward(into=grads)\n"
+        "    return loss.backward(grads)\n"
+    )
+    assert backward_into_outside_backward_sum(source) == [
+        "backward (line 9)", "backward (line 10)",
+    ]
+
+
+def test_only_backward_sum_releases_a_graph():
+    found = {path.name: backward_into_outside_backward_sum(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert "parallel.py" in found
     assert {name: calls for name, calls in found.items() if calls} == {}
