@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -254,8 +255,9 @@ def cmd_finetune(args) -> int:
     resume = None
     best_dir = os.path.join(args.out, "best")
     if args.resume:
-        # a run writes best/ in its first epoch, before last/
-        if not os.path.isdir(best_dir):
+        # a run with an evaluation split writes best/ in its first epoch,
+        # before last/; one without writes it only at the end
+        if eval_s and not os.path.isdir(best_dir):
             raise UsageError(f"cannot resume: {best_dir} is missing")
         model, vocab, arrays, meta = _load_model(os.path.join(args.out, "last"))
         heads = _load_heads(model, arrays, meta)
@@ -482,6 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_bounded(float, 0, 100, open_low=True), default=10.0)
     p.set_defaults(func=cmd_explain)
 
+    # take an argument that starts with "-" and a digit (or ".", then a
+    # digit) as a value, as argparse already does for a plain negative
+    # number, so that "--split -0.1,0.6,0.5" reaches its range check
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -290,14 +290,15 @@ def finetune_run(
     """Epoch loop with evaluation-split F1 tracking and best-checkpoint keep.
 
     Batch order is a pure function of (seed, epoch). An epoch that improves
-    the evaluation F1 (every epoch, without an evaluation split) first writes
-    the "best" checkpoint. Each epoch then writes ``loss.csv``, ``eval.csv``
-    and the "last" checkpoint, which stores the optimizer moments and the
-    best F1 and epoch so far. ``resume`` is the ``(arrays, meta)`` of that
-    "last" bundle, whose weights ``model`` and ``heads`` already hold: the
-    run then continues from its epoch, with its optimizer state and the
-    histories in ``out_dir``, and reproduces an uninterrupted one step for
-    step. Each step runs its samples one at a time on the pool
+    the evaluation F1 first writes the "best" checkpoint. Each epoch then
+    writes ``loss.csv``, ``eval.csv`` and the "last" checkpoint, which
+    stores the optimizer moments and the best F1 and epoch so far. Without
+    an evaluation split every epoch counts as the best, and "best" is
+    written once, after the final epoch. ``resume`` is the ``(arrays,
+    meta)`` of that "last" bundle, whose weights ``model`` and ``heads``
+    already hold: the run then continues from its epoch, with its optimizer
+    state and the histories in ``out_dir``, and reproduces an uninterrupted
+    one step for step. Each step runs its samples one at a time on the pool
     (``parallel.backward_sum``).
     """
     if not train:
@@ -317,6 +318,11 @@ def finetune_run(
         load_moments(opt, params, arrays)
         result.loss_history, result.eval_history = _read_histories(out_dir, start_epoch)
 
+    def save_best():
+        save_run(os.path.join(out_dir, "best"), model, (heads,), vocab,
+                 {"epoch": result.best_epoch + 1, "f1": result.best_f1,
+                  "threshold": heads.threshold})
+
     for epoch in range(start_epoch, schedule.epochs):
         order = np.random.default_rng(
             np.random.SeedSequence([schedule.seed, 0xF17E, epoch])
@@ -333,9 +339,8 @@ def finetune_run(
             result.best_f1 = f1
             result.best_epoch = epoch
             # before last/, so that its best_epoch names weights on disk
-            if out_dir is not None:
-                save_run(os.path.join(out_dir, "best"), model, (heads,), vocab,
-                         {"epoch": epoch + 1, "f1": f1, "threshold": heads.threshold})
+            if out_dir is not None and evaluation:
+                save_best()
         if out_dir is not None:
             for (name, header, _), rows in zip(HISTORIES, (result.loss_history,
                                                            result.eval_history)):
@@ -349,6 +354,8 @@ def finetune_run(
             and epoch - result.best_epoch >= schedule.early_stop_patience
         ):
             break
+    if out_dir is not None and not evaluation:
+        save_best()  # the final epoch's weights, which last/ holds too
     return result
 
 

@@ -25,7 +25,7 @@ import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
-from functools import cache
+from functools import cache, partial
 
 from . import tensor as T
 
@@ -129,26 +129,44 @@ def backward_sum(losses) -> float:
     ``map_ordered``, and return the sum of their values. Each graph is
     built inside its task, and its backward frees it as the walk goes.
 
-    Each loss's leaf gradients go into a map of their own, which is added
-    into running totals, and then dropped, as soon as the maps before it
-    have been, so the totals do not depend on the worker count. The totals
-    are then added into the leaves' ``.grad``.
+    The walk hands out each leaf gradient once it is whole. While its sample
+    is the lowest one not yet in the running totals, it is added straight
+    into them; a sample still waiting on lower ones keeps a map, added when
+    it becomes the lowest. So each total gets one array per sample in
+    sample order, whatever the worker count. The totals are then added
+    into the leaves' ``.grad``.
     """
-    def unit(build):
+    lock = threading.Lock()
+    sums: dict = {}
+    waiting: dict[int, dict] = {}  # the gradients of samples above the lowest
+    lowest = 0  # the lowest sample not yet in ``sums``
+
+    def add(leaf, g):
+        if leaf in sums:
+            sums[leaf] += g
+        else:
+            sums[leaf] = g.copy()  # pieces may be shared; this array is ours
+
+    def sink(i, leaf, g):
+        with lock:
+            if i == lowest:
+                add(leaf, g)
+            else:
+                waiting.setdefault(i, {})[leaf] = g
+
+    def unit(item):
+        i, build = item
         loss = build()
-        grads: dict = {}
-        loss.backward(into=grads)
-        return loss.item(), grads
+        loss.backward(into=partial(sink, i))
+        return loss.item()
 
     total = 0.0
-    sums: dict = {}
-    for value, grads in map_ordered(unit, losses):
+    for i, value in enumerate(map_ordered(unit, enumerate(losses))):
         total += value
-        for leaf, g in grads.items():
-            if leaf in sums:
-                sums[leaf] += g
-            else:
-                sums[leaf] = g.copy()  # map arrays may be shared; this one is ours
+        with lock:
+            lowest = i + 1
+            for leaf, g in waiting.pop(lowest, {}).items():
+                add(leaf, g)
     for leaf, g in sums.items():
         leaf.grad = g if leaf.grad is None else leaf.grad + g
     return total

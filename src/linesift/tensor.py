@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -138,14 +139,16 @@ class Tensor:
 
     # -- reverse-mode traversal ----------------------------------------------
 
-    def backward(self, into: dict | None = None) -> None:
+    def backward(self, into=None) -> None:
         """Populate ``.grad`` on every reachable requires_grad leaf.
 
         The loss must be scalar. Gradients computed by this call are added
         into any gradients already stored on the leaves; interior nodes get
-        no ``.grad``. With ``into``, a dict keyed by leaf, each leaf's
-        gradient is added into ``into[leaf]`` instead and no ``.grad`` is
-        touched, so that graphs on other threads can share the leaves.
+        no ``.grad``. With ``into``, a callable, no ``.grad`` is touched
+        (graphs on other threads can share the leaves): ``into(leaf, grad)``
+        is called once per leaf with its whole gradient, which may be shared,
+        as soon as the closure of its last consumer has run (if a consumer
+        got no gradient, when the walk reaches the leaf).
 
         With ``into`` the caller owns the graph (``parallel.backward_sum``
         builds each loss in its task), and the walk releases it as it goes:
@@ -161,6 +164,9 @@ class Tensor:
         order = _topo_order(self)
         # keyed by node, not id(): a node freed by the walk frees its id
         grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
+        # per leaf, the consumers (edges from interior nodes) yet to run
+        uses = Counter(p for n in order if n._backward is not None for p in n._parents
+                       if p._backward is None and p.requires_grad) if into is not None else {}
         while order:
             node = order.pop()  # the walk's last reference to a walked node
             if node not in grads:
@@ -169,11 +175,16 @@ class Tensor:
                 # an interior gradient is needed only until it is passed on
                 node._backward(grads.pop(node), grads)
                 if into is not None:
+                    for parent in node._parents:
+                        if parent in uses:
+                            uses[parent] -= 1
+                            if not uses[parent] and parent in grads:
+                                into(parent, grads.pop(parent))
                     node._backward, node._parents = None, None
             elif node.requires_grad:
                 piece = grads.pop(node)  # may be shared: add, never +=
                 if into is not None:
-                    into[node] = into[node] + piece if node in into else piece
+                    into(node, piece)
                 else:
                     node.grad = piece if node.grad is None else node.grad + piece
 

@@ -81,6 +81,30 @@ def test_bad_numeric_flag_exits_2_before_any_input_is_read(tmp_path, capsys,
     assert flag in capsys.readouterr().err.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize("command, flag, value, reason", [
+    ("evaluate", "--split", "-0.1,0.6,0.5", "must be a finite number at least 0, got -0.1"),
+    ("finetune", "--class-weights", "-1,2", "must be a finite number above 0, got -1"),
+    ("evaluate", "--k", "-5,10", "must be a finite number above 0 and at most 100, got -5"),
+])
+def test_comma_list_starting_with_minus_reaches_the_range_check(tmp_path, capsys, command,
+                                                                flag, value, reason):
+    missing = str(tmp_path / "missing")
+    argv = [command, "--corpus", missing, "--out", str(tmp_path / "o"), flag, value]
+    if command == "evaluate":
+        argv += ["--checkpoint", missing]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1].endswith(f"{flag}: {reason}")
+
+
+def test_unknown_option_is_still_refused(tmp_path, capsys):
+    argv = ["stats", "--corpus", str(tmp_path / "missing"), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--nosuch"]) == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1].endswith(
+        "unrecognized arguments: --nosuch")
+    assert main([*argv, "--nosuch", "-1"]) == 2
+    assert "unrecognized arguments: --nosuch -1" in capsys.readouterr().err
+
+
 def test_smallest_vocab_flags_are_accepted(tmp_path, corpus_path):
     out = tmp_path / "o"
     assert main(["stats", "--corpus", corpus_path, "--out", str(out),
@@ -324,6 +348,31 @@ class TestFinetuneCommand:
         assert main(["finetune", *args, "--epochs", "4", "--resume"]) == 2
         assert str(tmp_path / "best") in capsys.readouterr().err
         assert (tmp_path / "last" / "weights.bin").read_bytes() == weights
+
+    def test_run_without_evaluation_split_resumes_after_a_kill(self, tmp_path, corpus_path):
+        # such a run writes best/ only after its final epoch, so a kill
+        # leaves none, and its resume must go on without it
+        args = ["--corpus", corpus_path, "--batch", "6", "--seed", "1",
+                "--split", "1,0,0", "--vocab-size", "512", "--epochs", "3"]
+        full, parted = tmp_path / "full", tmp_path / "parted"
+        assert main(["finetune", *args, "--out", str(full)]) == 0
+        with open(full / "loss.csv", newline="") as fh:
+            one_epoch = sum(r["epoch"] == "0" for r in csv.DictReader(fh))
+        adamw_step = pretrain.adamw_step
+
+        def killed(params, opt):  # in the first step of the second epoch
+            if opt.t == one_epoch:
+                raise RuntimeError("killed")
+            adamw_step(params, opt)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pretrain, "adamw_step", killed)
+            assert main(["finetune", *args, "--out", str(parted)]) == 1
+        assert (parted / "last").is_dir() and not (parted / "best").exists()
+        assert main(["finetune", *args, "--out", str(parted), "--resume"]) == 0
+        for name in ("loss.csv", "eval.csv", "metrics.json",
+                     *(f"{d}/{f}" for d in ("best", "last") for f in os.listdir(full / d))):
+            assert (parted / name).read_bytes() == (full / name).read_bytes(), name
 
     @pytest.mark.parametrize("before", [b'{"epochs": 1}\n', None], ids=["echo", "no_echo"])
     def test_refused_command_leaves_run_config_as_it_was(self, tmp_path, corpus_path,

@@ -1,6 +1,8 @@
 """Detection heads, joint loss, staged prediction, training loop."""
 
 import json
+import math
+import os
 from functools import reduce
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from conftest import (
     assert_same_gradients, gradients_after, make_encoded, synthesize_corpus,
 )
-from linesift import parallel
+from linesift import finetune, parallel
 from linesift import tensor as T
 from linesift.encoding import build_vocab, encode
 from linesift.finetune import (
@@ -20,7 +22,7 @@ from linesift.finetune import (
     predict,
     sample_losses,
 )
-from linesift.model import HierarchicalModel, ModelConfig
+from linesift.model import HierarchicalModel, ModelConfig, load_bundle, save_run
 from linesift.pretrain import DivergenceError
 from linesift.transformer import EncoderConfig
 
@@ -404,3 +406,19 @@ class TestFinetuneRun:
         assert (tmp_path / "last").is_dir()
         assert (tmp_path / "loss.csv").exists()
         assert result.best_epoch >= 0
+
+    def test_without_evaluation_split_best_is_written_once_at_the_end(self, tmp_path,
+                                                                      monkeypatch):
+        encodeds, model, heads, vocab = self.make_inputs(n=8)
+        writes = []
+        monkeypatch.setattr(finetune, "save_run", lambda directory, *args, **kwargs: (
+            writes.append(os.path.basename(directory)), save_run(directory, *args, **kwargs)))
+        schedule = FinetuneSchedule(epochs=3, batch_size=4, seed=0)
+        result = finetune_run(encodeds, [], model, heads, schedule,
+                              out_dir=str(tmp_path), vocab=vocab)
+        assert writes == ["last", "last", "last", "best"]
+        assert result.best_epoch == 2
+        _, best, _, meta = load_bundle(str(tmp_path / "best"))
+        _, last, _, _ = load_bundle(str(tmp_path / "last"))
+        assert meta["epoch"] == 3 and math.isnan(meta["f1"])
+        assert all(np.array_equal(arr, last[name]) for name, arr in best.items())

@@ -3,12 +3,16 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from linesift import parallel
+from conftest import make_encoded
+from linesift import finetune, parallel
 from linesift import tensor as T
+from linesift.model import HierarchicalModel, ModelConfig
+from linesift.transformer import EncoderConfig
 
 needs_blas_setter = pytest.mark.skipif(
     not parallel._blas_thread_controls(),
@@ -150,6 +154,34 @@ def test_backward_sum_same_bits_with_more_workers_than_cores(monkeypatch):
         sys.setswitchinterval(previous)
     for value, grad in sums[1:]:
         assert value == sums[0][0] and np.array_equal(grad, sums[0][1])
+
+
+def test_inline_step_holds_no_model_sized_map(monkeypatch):
+    # one layer, hidden 256, two 64-token fine-tune samples: the weights
+    # (12.7 MB) outweigh a sample's graph (2.2 MB). Giving each sample a map
+    # of its own, added into the totals once its walk had ended, peaked at
+    # 37.0 MB; adding each gradient into the totals as the walk hands it
+    # out, at 20.0 MB
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
+    rng = np.random.default_rng(0)
+    encoder = EncoderConfig(layers=1, hidden=256, heads=4, ffn_hidden=512, vocab_size=50)
+    model = HierarchicalModel(ModelConfig(encoder=encoder), seed=1)
+    heads = finetune.DetectionHeads(256, 512, rng)
+    params = [*model.parameters().values(), *(p for _, p in heads.parameters())]
+    losses = finetune.sample_losses([make_encoded(rng, 64, vocab_size=50, label=i)
+                                     for i in range(2)], model, heads)
+    parallel.backward_sum(losses)  # first-call costs outside the measurement
+    for p in params:
+        p.zero_grad()
+    tracemalloc.start()
+    try:
+        parallel.backward_sum(losses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    model_bytes = sum(p.data.nbytes for p in params)
+    assert model_bytes > 10_000_000  # the weights are the size they are meant to be
+    assert peak < 2 * model_bytes
 
 
 @needs_blas_setter

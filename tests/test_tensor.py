@@ -170,6 +170,14 @@ class TestCrossEntropy:
         assert np.allclose(logits.grad, probs / 3.0, atol=1e-12)
 
 
+def collector(grads: dict):
+    """A ``backward(into=...)`` sink that adds each leaf gradient it is handed
+    into ``grads[leaf]``, never in place: the arrays may be shared."""
+    def sink(leaf, g):
+        grads[leaf] = grads[leaf] + g if leaf in grads else g
+    return sink
+
+
 class TestBackward:
     def test_sum_gives_ones(self, rng):
         x = T.parameter(rng.normal(size=(3, 5)))
@@ -225,13 +233,13 @@ class TestBackward:
             return T.mul(both, T.constant(c)).sum() + T.mul(b, b).sum()
 
         expected = {a: c[:2] + c[2:], b: c[:2] + 2 * b.data}
-        for into in (None, {}):
+        for grads in (None, {}):
             a.zero_grad()
             b.zero_grad()
             for _ in range(2):
-                loss().backward(into=into)
+                loss().backward(into=None if grads is None else collector(grads))
             for leaf, grad in expected.items():
-                got = leaf.grad if into is None else into[leaf]
+                got = leaf.grad if grads is None else grads[leaf]
                 assert np.allclose(got, 2 * grad, atol=1e-12)
 
     def test_backward_into_map_leaves_grad_untouched(self, rng):
@@ -244,14 +252,14 @@ class TestBackward:
             return T.tanh(T.matmul(x, w)).sum() + T.mul(w, w).sum()
 
         grads = {}
-        loss().backward(into=grads)
+        loss().backward(into=collector(grads))
         assert x.grad is None and np.array_equal(w.grad, held)
         assert set(grads) == {x, w}
         w.zero_grad()
         loss().backward()
         assert np.array_equal(grads[x], x.grad)
         assert np.array_equal(grads[w], w.grad)
-        loss().backward(into=grads)  # a second call adds into the map
+        loss().backward(into=collector(grads))  # a second call adds into the map
         assert np.array_equal(grads[w], 2 * w.grad)
 
     def test_every_reachable_param_gets_matching_grad(self, rng):
@@ -361,11 +369,11 @@ class TestReleasingBackward:
         hidden = T.matmul(x, w)
         loss = T.tanh(hidden).sum()
         grads = {}
-        loss.backward(into=grads)
+        loss.backward(into=collector(grads))
         assert set(grads) == {x, w}
-        for again in (lambda: loss.backward(into={}), loss.backward,
+        for again in (lambda: loss.backward(into=collector({})), loss.backward,
                       # a new loss on a released interior node: not a leaf
-                      lambda: T.mul(hidden, hidden).sum().backward(into={}),
+                      lambda: T.mul(hidden, hidden).sum().backward(into=collector({})),
                       lambda: (T.tanh(hidden).sum() + T.mul(w, w).sum()).backward()):
             with pytest.raises(ValueError, match="released"):
                 again()
@@ -386,10 +394,38 @@ class TestReleasingBackward:
             for p in params:
                 p.zero_grad()
             build().backward()
-            grads = {}
-            build().backward(into=grads)
+            handed = []
+            build().backward(into=lambda leaf, g: handed.append((leaf, g)))
+            grads = dict(handed)
+            assert len(grads) == len(handed)  # once per leaf
             assert set(grads) == {p for p in params if p.grad is not None}
             assert all(np.array_equal(g, p.grad) for p, g in grads.items())
+
+    def test_a_leaf_goes_out_once_its_last_consumer_has_run(self, rng):
+        # the walk reaches w_top, listed first, last of all; its only
+        # consumer is next to the loss, w_bottom's at the bottom
+        x = T.constant(rng.normal(size=(3, 4)))
+        w_bottom = T.parameter(rng.normal(size=(4, 4)))
+        w_top = T.parameter(rng.normal(size=(4, 2)))
+        act = T.tanh(T.matmul(x, w_bottom))
+        loss = T.matmul(act, w_top).sum()
+        handed = []  # each leaf, and whether the walk had yet passed act
+        loss.backward(into=lambda leaf, g: handed.append((leaf, act._backward is None)))
+        assert handed == [(w_top, False), (w_bottom, True)]
+
+    def test_a_leaf_whose_consumer_got_no_gradient_goes_out_when_reached(self, rng):
+        w = T.parameter(rng.normal(size=(2, 2)))
+
+        def loss():
+            blocked = T.Tensor(0.0, requires_grad=True)  # passes nothing on
+            blocked._parents, blocked._backward = (T.matmul(w, w),), lambda g, grads: None
+            return blocked + T.mul(w, w).sum()
+
+        loss().backward()
+        handed = []
+        loss().backward(into=lambda leaf, g: handed.append((leaf, g)))
+        assert len(handed) == 1 and handed[0][0] is w
+        assert np.array_equal(handed[0][1], w.grad)
 
     def test_msp_sample_backward_peak_near_its_graph(self):
         # one 1,024-token desk-preset MSP sample: keeping every node until
@@ -404,13 +440,13 @@ class TestReleasingBackward:
         def build():
             return pretrain.msp_loss(enc, plan, model, decoder, per_token_mean=True)[0]
 
-        build().backward(into={})  # first-call costs outside the measurement
+        build().backward(into=collector({}))  # first-call costs outside the measurement
         tracemalloc.start()
         try:
             loss = build()
             graph = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            loss.backward(into={})
+            loss.backward(into=collector({}))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
