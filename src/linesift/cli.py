@@ -3,7 +3,10 @@
 Every command takes an --out directory and echoes its fully resolved
 configuration (defaults and seed included) to ``run_config.json`` there, so
 a run can be reproduced from its own output. Exit codes: 0 success,
-1 runtime failure (e.g. divergence), 2 usage or configuration error.
+1 runtime failure (e.g. divergence), 2 usage or configuration error. A
+command loads and checks all of its inputs before its first write, so one
+refused for a flag or an input writes nothing: no ``run_config.json``, no
+--out directory, and an existing one stays as it was.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 import os
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .finetune import (
     coarse_metrics,
     finetune_run,
     predict,
+    resume_state,
     write_reports_jsonl,
 )
 from .model import VOCAB_NAME, BundleConfigError, HierarchicalModel, ModelConfig, load_bundle
@@ -56,7 +59,10 @@ class UsageError(ValueError):
 
 
 def _echo_config(args: argparse.Namespace) -> None:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise UsageError(f"--out {args.out} is, or lies under, a file") from None
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     with open(os.path.join(args.out, "run_config.json"), "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True, default=str)
@@ -160,12 +166,10 @@ def _split_three(args, samples):
 
 
 def cmd_convert(args) -> int:
-    out_path = os.path.join(args.out, "corpus.jsonl")
     if not os.path.isfile(args.csv):
         raise UsageError(f"csv file not found: {args.csv}")
-    count = corpus_mod.convert_csv_corpus(
+    samples = corpus_mod.read_csv_corpus(
         args.csv,
-        out_path,
         code_column=args.code_column,
         label_column=args.label_column,
         lines_column=args.lines_column,
@@ -173,13 +177,17 @@ def cmd_convert(args) -> int:
         cwe_column=args.cwe_column,
         zero_based_lines=not args.one_based_lines,
     )
-    print(f"converted {count} records -> {out_path}")
+    _echo_config(args)
+    out_path = os.path.join(args.out, "corpus.jsonl")
+    corpus_mod.save_corpus(samples, out_path)
+    print(f"converted {len(samples)} records -> {out_path}")
     return 0
 
 
 def cmd_stats(args) -> int:
     samples = _load_corpus(args.corpus)
     vocab = build_vocab(samples, max_size=args.vocab_size, min_freq=args.min_freq)
+    _echo_config(args)
 
     def token_length(sample):
         return 1 + len(tokenize_line(sample.code))
@@ -220,6 +228,7 @@ def cmd_pretrain(args) -> int:
     encodeds, skipped = _encode_corpus(samples, vocab, model.config.m_len)
     if not encodeds:
         raise UsageError("no encodable samples in the corpus")
+    _echo_config(args)
     schedule = PretrainSchedule(
         mlm_steps=args.mlm_steps,
         msp_steps=args.steps,
@@ -252,17 +261,12 @@ def cmd_finetune(args) -> int:
     if not train_s:
         raise UsageError("training split is empty")
 
-    resume = None
-    best_dir = os.path.join(args.out, "best")
     if args.resume:
-        # a run with an evaluation split writes best/ in its first epoch,
-        # before last/; one without writes it only at the end
-        if eval_s and not os.path.isdir(best_dir):
-            raise UsageError(f"cannot resume: {best_dir} is missing")
         model, vocab, arrays, meta = _load_model(os.path.join(args.out, "last"))
         heads = _load_heads(model, arrays, meta)
-        resume = (arrays, meta)
+        resume = resume_state(arrays, meta, model, heads, schedule, args.out)
     else:
+        resume = None
         if args.checkpoint:
             model, vocab, _, _ = _load_model(args.checkpoint)
         else:
@@ -277,6 +281,12 @@ def cmd_finetune(args) -> int:
     eval_enc, _ = _encode_corpus(eval_s, vocab, model.config.m_len)
     if not train_enc:
         raise UsageError("no encodable samples in the training split")
+    # a run that evaluates writes best/ in its first epoch, before last/;
+    # one that does not (no encodable evaluation sample) only at the end
+    best_dir = os.path.join(args.out, "best")
+    if args.resume and eval_enc and not os.path.isdir(best_dir):
+        raise UsageError(f"cannot resume: {best_dir} is missing")
+    _echo_config(args)
     result = finetune_run(train_enc, eval_enc, model, heads, schedule,
                           out_dir=args.out, vocab=vocab, resume=resume)
 
@@ -312,6 +322,7 @@ def cmd_evaluate(args) -> int:
     encodeds, skipped = _encode_corpus(part, vocab, model.config.m_len)
     if not encodeds:
         raise UsageError("no encodable samples in the selected split")
+    _echo_config(args)
     reports = list(map_ordered(
         lambda e: predict(e, model, heads, k_percent=args.k[0]), encodeds))
     write_reports_jsonl(reports, os.path.join(args.out, "predictions.jsonl"))
@@ -360,6 +371,7 @@ def cmd_explain(args) -> int:
         raise UsageError(f"sample id {args.id!r} not found in corpus")
     sample = matching[0]
     encoded = encode(sample, vocab, model.config.m_len)
+    _echo_config(args)
     report = predict(encoded, model, heads, k_percent=args.k)
     rows = metrics_mod.export_heatmap(report, sample.code)
     note = None
@@ -498,26 +510,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    out = Path(args.out)
-    echo, before = out / "run_config.json", None
-    # the directories that _echo_config's makedirs will create
-    created = [d for d in (*reversed(out.parents), out) if not d.exists()]
     try:
-        if echo.is_file():
-            before = echo.read_bytes()
-        _echo_config(args)
         return args.func(args)
     except (UsageError, CorpusError, EncodingError, CheckpointError,
             FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a refused command leaves the run's echo, and its --out, as they were
-        if before is not None:
-            echo.write_bytes(before)
-        elif echo.is_file():
-            echo.unlink()
-        for d in reversed(created):
-            if d.is_dir() and not any(d.iterdir()):
-                d.rmdir()
         return 2
     except DivergenceError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)

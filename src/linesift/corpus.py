@@ -25,7 +25,7 @@ __all__ = [
     "class_stats",
     "truncation_stats",
     "format_stats_table",
-    "convert_csv_corpus",
+    "read_csv_corpus",
 ]
 
 
@@ -234,22 +234,21 @@ def _line_index(cell: str) -> int:
     return int(value)
 
 
-def convert_csv_corpus(
+def read_csv_corpus(
     csv_path: str,
-    out_path: str,
     code_column: str = "processed_func",
     label_column: str = "target",
     lines_column: str = "flaw_line_index",
     id_column: str | None = None,
     cwe_column: str | None = "CWE ID",
     zero_based_lines: bool = True,
-) -> int:
-    """Convert a big_vul-style CSV into the JSONL corpus schema.
+) -> list[FunctionSample]:
+    """The samples of a big_vul-style CSV, all read and checked; no write.
 
     Flaw line indices are comma-separated in the CSV and 0-based by
-    convention; they come out as 1-based ``vul_lines``. Returns the number
-    of converted records. Records whose converted form violates the schema,
-    or repeat an earlier record's id, are rejected with their CSV row number.
+    convention; they come out as 1-based ``vul_lines``. Records whose
+    converted form violates the schema, or repeat an earlier record's id,
+    are rejected with their CSV row number.
     """
     samples, first_row = [], {}
     try:
@@ -293,5 +292,4 @@ def convert_csv_corpus(
             for lineno, raw in enumerate(fh, start=1):
                 _decoded(raw, lineno)
         raise
-    save_corpus(samples, out_path)
-    return len(samples)
+    return samples

@@ -39,6 +39,7 @@ __all__ = [
     "finetune_loss",
     "predict",
     "coarse_metrics",
+    "resume_state",
     "finetune_run",
 ]
 
@@ -254,14 +255,25 @@ def _trained_parameters(model, heads, schedule) -> dict[str, Tensor]:
     return params
 
 
-def _read_histories(out_dir: str, epochs: int) -> list[list[tuple]]:
-    """The loss and evaluation histories of the first ``epochs`` epochs, read
-    back from the ``loss.csv`` and ``eval.csv`` in ``out_dir`` (none without
-    the file). Rows of later epochs, which a run stopped before it could save
-    ``last/`` leaves, are dropped; any other content raises a
-    ``CheckpointError`` naming the file."""
-    histories = []
-    for name, header, types in HISTORIES:
+def resume_state(arrays: dict, meta: dict, model: HierarchicalModel, heads: DetectionHeads,
+                 schedule: FinetuneSchedule, out_dir: str):
+    """``(epoch, opt, result)`` read, with no write, from the "last" bundle
+    (``arrays``, ``meta``) whose weights ``model`` and ``heads`` hold, and
+    from the ``loss.csv`` and ``eval.csv`` in ``out_dir`` (no rows without
+    the file). History rows of later epochs, which a run stopped before it
+    could save ``last/`` leaves, are dropped; a missing counter or moment,
+    or a history of other content, raises a ``CheckpointError`` naming it."""
+    opt = OptimizerState(learning_rate=schedule.learning_rate)
+    result = FinetuneResult()
+    # load_bundle has checked the types and signs of these counters
+    try:
+        epoch, opt.t, result.best_f1, result.best_epoch = (
+            meta[key] for key in ("epoch", "opt_t", "best_f1", "best_epoch"))
+    except KeyError as exc:
+        raise CheckpointError(f"cannot resume: meta {exc.args[0]} is missing") from None
+    load_moments(opt, _trained_parameters(model, heads, schedule), arrays)
+    for (name, header, types), history in zip(HISTORIES, (result.loss_history,
+                                                         result.eval_history)):
         path = os.path.join(out_dir, name)
         try:
             with open(path, newline="") as fh:
@@ -273,8 +285,8 @@ def _read_histories(out_dir: str, epochs: int) -> list[list[tuple]]:
             rows = []
         except ValueError:
             raise CheckpointError(f"{path} is not a {','.join(header)} table") from None
-        histories.append([row for row in rows if row[0] < epochs])
-    return histories
+        history.extend(row for row in rows if row[0] < epoch)
+    return epoch, opt, result
 
 
 def finetune_run(
@@ -285,7 +297,7 @@ def finetune_run(
     schedule: FinetuneSchedule,
     out_dir: str | None = None,
     vocab=None,
-    resume: tuple[dict, dict] | None = None,
+    resume: tuple[int, OptimizerState, FinetuneResult] | None = None,
 ) -> FinetuneResult:
     """Epoch loop with evaluation-split F1 tracking and best-checkpoint keep.
 
@@ -294,29 +306,16 @@ def finetune_run(
     writes ``loss.csv``, ``eval.csv`` and the "last" checkpoint, which
     stores the optimizer moments and the best F1 and epoch so far. Without
     an evaluation split every epoch counts as the best, and "best" is
-    written once, after the final epoch. ``resume`` is the ``(arrays,
-    meta)`` of that "last" bundle, whose weights ``model`` and ``heads``
-    already hold: the run then continues from its epoch, with its optimizer
-    state and the histories in ``out_dir``, and reproduces an uninterrupted
-    one step for step. Each step runs its samples one at a time on the pool
-    (``parallel.backward_sum``).
+    written once, after the final epoch. With ``resume``, what
+    ``resume_state`` read from that "last" bundle, the run continues from
+    there and reproduces an uninterrupted one step for step. Each step runs
+    its samples one at a time on the pool (``parallel.backward_sum``).
     """
     if not train:
         raise ValueError("training split is empty")
     params = _trained_parameters(model, heads, schedule)
-    opt = OptimizerState(learning_rate=schedule.learning_rate)
-    result = FinetuneResult()
-    start_epoch = 0
-    if resume is not None:
-        arrays, meta = resume
-        # load_bundle has checked the types and signs of these counters
-        try:
-            start_epoch, opt.t, result.best_f1, result.best_epoch = (
-                meta[key] for key in ("epoch", "opt_t", "best_f1", "best_epoch"))
-        except KeyError as exc:
-            raise CheckpointError(f"cannot resume: meta {exc.args[0]} is missing") from None
-        load_moments(opt, params, arrays)
-        result.loss_history, result.eval_history = _read_histories(out_dir, start_epoch)
+    start_epoch, opt, result = resume or (
+        0, OptimizerState(learning_rate=schedule.learning_rate), FinetuneResult())
 
     def save_best():
         save_run(os.path.join(out_dir, "best"), model, (heads,), vocab,

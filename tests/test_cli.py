@@ -1,6 +1,7 @@
 """Command surface: exit codes, artifacts, config echo, reruns."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from conftest import bundled_corpus_path, per_head_names, synthesize_corpus
 from linesift import checkpoint, parallel, pretrain
 from linesift.cli import main
-from linesift.corpus import load_corpus, save_corpus
+from linesift.corpus import SplitSpec, load_corpus, save_corpus, split
 from linesift.model import HierarchicalModel, load_bundle
 
 
@@ -34,6 +35,11 @@ def finetuned(tmp_path_factory, corpus_path):
     ])
     assert code == 0
     return str(out)
+
+
+def blanked(sample):
+    """``sample`` with every line of its code blank, which ``encode`` refuses."""
+    return dataclasses.replace(sample, code="\n" * (sample.line_count() - 1))
 
 
 def add_zero_dropout(bundle):
@@ -116,6 +122,78 @@ def test_smallest_vocab_flags_are_accepted(tmp_path, corpus_path):
 def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys, command, flag):
     assert main([command, flag, str(tmp_path), "--out", str(tmp_path / "o")]) == 2
     assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_that_is_or_lies_under_a_file_exits_2(tmp_path, corpus_path, capsys, under):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept\n")
+    out = afile / "sub" if under else afile
+    assert main(["stats", "--corpus", corpus_path, "--out", str(out)]) == 2
+    assert f"--out {out} " in capsys.readouterr().err
+    assert afile.read_bytes() == b"kept\n"
+
+
+def refusal(row, tmp_path, out, corpus_path, finetuned):
+    """The argv, but for ``--out``, of the last refusal the command of
+    ``row`` can raise before it writes, and a piece of its message. Inputs
+    are made under ``tmp_path``; a resume's run is ``finetuned``, copied to
+    ``out``."""
+    best = os.path.join(finetuned, "best")
+    if row == "convert":
+        (tmp_path / "in.csv").write_text("processed_func,target\na,0\nb,abc\n")
+        return ["convert", "--csv", str(tmp_path / "in.csv")], "row 3: bad cell"
+    if row in ("stats", "pretrain"):
+        samples = synthesize_corpus(4, seed=3)
+        samples = samples + samples[:1] if row == "stats" else list(map(blanked, samples))
+        save_corpus(samples, str(tmp_path / "c.jsonl"))
+        argv = [row, "--corpus", str(tmp_path / "c.jsonl"), "--vocab-size", "512"]
+        return argv, "line 5: id" if row == "stats" else "no encodable samples"
+    if row == "evaluate":
+        return (["evaluate", "--corpus", corpus_path, "--checkpoint", best,
+                 "--split", "1,0,0"], "selected split 'test' is empty")
+    if row == "explain":
+        return (["explain", "--corpus", corpus_path, "--checkpoint", best, "--id", "nosuch"],
+                "sample id 'nosuch' not found")
+    shutil.copytree(finetuned, out, dirs_exist_ok=True)
+    if row == "resume_history":
+        with open(out / "eval.csv", "a") as fh:
+            fh.write("8,high\n")
+        named = f"{out / 'eval.csv'} is not a"
+    else:
+        arrays = checkpoint.load_tensors(str(out / "last"))
+        del arrays["opt.v.se.layer1.wo"]
+        checkpoint.save_tensors(str(out / "last"), arrays)
+        named = "'opt.v.se.layer1.wo'"
+    return (["finetune", "--corpus", corpus_path, "--epochs", "9", "--batch", "6",
+             "--lr", "3e-3", "--seed", "1", "--split", "0.6,0.2,0.2",
+             "--vocab-size", "512", "--resume"], named)
+
+
+def tree(root):
+    """Every path under ``root``, with the bytes of each file."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("row, form", [
+    *((row, form) for row in ("convert", "stats", "pretrain", "evaluate", "explain")
+      for form in ("absent", "present")),
+    # a resume reads its run from --out, which must then be there
+    ("resume_history", "present"), ("resume_moment", "present"),
+])
+def test_refused_command_writes_nothing(tmp_path, corpus_path, finetuned, capsys, row, form):
+    ancestor = tmp_path / "missing"
+    out = ancestor / "out" if form == "absent" else tmp_path / "out"
+    if form == "present":
+        out.mkdir()
+        (out / "run_config.json").write_bytes(b'{"seed": 7}\n')
+        (out / "notes.txt").write_bytes(b"kept\n")
+    argv, message = refusal(row, tmp_path, out, corpus_path, finetuned)
+    before = tree(tmp_path)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert tree(tmp_path) == before
+    assert form == "present" or not ancestor.exists()
 
 
 class TestConvert:
@@ -350,10 +428,23 @@ class TestFinetuneCommand:
         assert (tmp_path / "last" / "weights.bin").read_bytes() == weights
 
     def test_run_without_evaluation_split_resumes_after_a_kill(self, tmp_path, corpus_path):
-        # such a run writes best/ only after its final epoch, so a kill
-        # leaves none, and its resume must go on without it
+        self._check_resume_without_best(tmp_path, corpus_path, "1,0,0")
+
+    def test_run_that_encodes_no_evaluation_sample_resumes_after_a_kill(self, tmp_path):
+        # its evaluation split is not empty, but it evaluates nothing either
+        samples = load_corpus(bundled_corpus_path())
+        blank = {s.id for s in split(samples, SplitSpec(0.6, 0.2, 0.2, seed=1))[1]}
+        assert blank
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus([blanked(s) if s.id in blank else s for s in samples], str(corpus))
+        self._check_resume_without_best(tmp_path, str(corpus), "0.6,0.2,0.2")
+
+    @staticmethod
+    def _check_resume_without_best(tmp_path, corpus_path, fractions):
+        # a run that evaluates nothing writes best/ only after its final
+        # epoch, so a kill leaves none, and its resume must go on without it
         args = ["--corpus", corpus_path, "--batch", "6", "--seed", "1",
-                "--split", "1,0,0", "--vocab-size", "512", "--epochs", "3"]
+                "--split", fractions, "--vocab-size", "512", "--epochs", "3"]
         full, parted = tmp_path / "full", tmp_path / "parted"
         assert main(["finetune", *args, "--out", str(full)]) == 0
         with open(full / "loss.csv", newline="") as fh:
@@ -382,7 +473,7 @@ class TestFinetuneCommand:
             echo.write_bytes(before)
         assert main(["finetune", "--corpus", corpus_path, "--out", str(tmp_path),
                      "--epochs", "3", "--resume"]) == 2
-        assert str(tmp_path / "best") in capsys.readouterr().err
+        assert str(tmp_path / "last") in capsys.readouterr().err
         assert (echo.read_bytes() if echo.exists() else None) == before
 
     def test_refused_command_removes_the_out_it_made(self, tmp_path, corpus_path):

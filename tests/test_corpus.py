@@ -216,10 +216,8 @@ class TestConverter:
                 "flaw_line_index": "",
                 "CWE ID": "",
             })
-        out_path = tmp_path / "out.jsonl"
-        count = C.convert_csv_corpus(str(csv_path), str(out_path))
-        assert count == 2
-        samples = C.load_corpus(str(out_path))
+        samples = C.read_csv_corpus(str(csv_path))
+        assert len(samples) == 2
         assert samples[0].label == 1
         assert samples[0].vul_lines == frozenset({2})  # 0-based 1 -> 1-based 2
         assert samples[0].cwe == "CWE-787"
@@ -230,32 +228,28 @@ class TestConverter:
         # the first record spans file lines 2 and 3, so rows and file lines differ
         csv_path.write_text('id,processed_func,target\nf1,"a\nb",0\nf2,c,0\nf1,d,1\n')
         with pytest.raises(CorpusError, match="row 4: id 'f1' repeats row 2"):
-            C.convert_csv_corpus(str(csv_path), str(tmp_path / "out.jsonl"),
-                                 id_column="id")
-        assert not (tmp_path / "out.jsonl").exists()
+            C.read_csv_corpus(str(csv_path), id_column="id")
 
     def test_missing_id_column_rejected(self, tmp_path):
         csv_path = tmp_path / "bv.csv"
         csv_path.write_text("processed_func,target\na,0\nb,0\n")
         with pytest.raises(CorpusError, match="row 2: missing column 'nosuch'"):
-            C.convert_csv_corpus(str(csv_path), str(tmp_path / "out.jsonl"),
-                                 id_column="nosuch")
+            C.read_csv_corpus(str(csv_path), id_column="nosuch")
 
     def test_missing_lines_column_rejected_at_first_positive(self, tmp_path):
         csv_path = tmp_path / "bv.csv"
         csv_path.write_text("processed_func,target\na,0\nb,1\nc,1\n")
         with pytest.raises(CorpusError, match="row 3: missing column 'flaw_line_index'"):
-            C.convert_csv_corpus(str(csv_path), str(tmp_path / "out.jsonl"))
-        assert not (tmp_path / "out.jsonl").exists()
+            C.read_csv_corpus(str(csv_path))
         csv_path.write_text("processed_func,target\na,0\nb,0\n")  # no positive: converts
-        assert C.convert_csv_corpus(str(csv_path), str(tmp_path / "out.jsonl")) == 2
+        assert len(C.read_csv_corpus(str(csv_path))) == 2
 
     def test_byte_that_is_not_utf8_reports_file_line(self, tmp_path):
         csv_path = tmp_path / "bv.csv"
         # the first record spans file lines 2 and 3
         csv_path.write_bytes(b'processed_func,target\n"a\nb",0\n"\xff",0\n')
         with pytest.raises(CorpusError, match="line 4: not UTF-8"):
-            C.convert_csv_corpus(str(csv_path), str(tmp_path / "out.jsonl"))
+            C.read_csv_corpus(str(csv_path))
 
 
 class TestSynthesizedCorpus:

@@ -2,8 +2,9 @@
 every function reads each of its parameters, every definition is reached
 from outside its own body, every dataclass field is read, every
 ``__all__`` names something defined, every command-line flag is read by
-its command, only ``train_step`` makes the calls of a training step, and
-only ``backward_sum`` calls ``backward(into=...)``, which releases the graph.
+its command, each command echoes its configuration once and ``main`` never,
+only ``train_step`` makes the calls of a training step, and only
+``backward_sum`` calls ``backward(into=...)``, which releases the graph.
 
 Neither pyflakes nor ruff is a dependency, so these stdlib ``ast`` scans are
 the project's lint. ``__init__.py`` is skipped by the import check: its
@@ -352,6 +353,43 @@ def test_checker_flags_an_unread_flag():
 def test_every_flag_is_read_by_its_command():
     found = unread_flags((SRC / "cli.py").read_text(), build_parser())
     assert found == []
+
+
+def misplaced_echoes(source: str) -> list[str]:
+    """``function (N calls)`` of each top-level ``cmd_*`` function of
+    ``source`` that does not call ``_echo_config`` exactly once, and of
+    ``main`` if it calls it at all: the echo is a command's first write, made
+    once the command has checked every input, so that a refused command
+    writes nothing."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and (node.name.startswith("cmd_")
+                                                  or node.name == "main"):
+            calls = sum(isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "_echo_config"
+                        for call in ast.walk(node))
+            if calls != (0 if node.name == "main" else 1):
+                found.append(f"{node.name} ({calls} calls)")
+    return found
+
+
+def test_checker_flags_a_misplaced_echo():
+    source = (
+        "def _echo_config(args):\n    print(args)\n"
+        "def cmd_once(args):\n    _echo_config(args)\n"
+        "def cmd_never(args):\n    return 0\n"
+        "def cmd_twice(args):\n    _echo_config(args)\n    return _echo_config(args)\n"
+        "def main(argv):\n    _echo_config(argv)\n"
+    )
+    assert misplaced_echoes(source) == [
+        "cmd_never (0 calls)", "cmd_twice (2 calls)", "main (1 calls)",
+    ]
+
+
+def test_each_command_echoes_once_and_main_never():
+    source = (SRC / "cli.py").read_text()
+    assert "def cmd_finetune" in source and "def main" in source
+    assert misplaced_echoes(source) == []
 
 
 # the calls of a training step, which ``pretrain.train_step`` makes for both
